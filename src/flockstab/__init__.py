@@ -37,7 +37,6 @@ from .model import (
     BoundaryCondition,
     FlockSpec,
     SystemMatrix,
-    Topology,
     alphas_betas,
     assemble_line,
     assemble_periodic,

@@ -2,9 +2,18 @@
 
 Defines agent coupling parameters for the two supported periodic
 arrangements (three types with nearest-neighbor coupling, two types with
-next-nearest-neighbor coupling), validates the decentralization
-constraints, and assembles the dense first-order system matrices for the
-circle and for the line under either boundary-condition family.
+next-nearest-neighbor coupling) and validates the decentralization
+constraints.  Both arrangements are one model: a periodic stencil on a
+line of vehicles.  Vehicle k (0 = leader) has type k mod t and cell
+k // t; offset j couples it to vehicle k + j with weight g * rho[j], and
+its own state enters with weight g.  The circle wraps k + j modulo the
+vehicle count.  The open line zeroes the leader's row and truncates every
+row that misses a neighbor:
+
+- Type I: the centre weight becomes -sum(kept rho), so the row still
+  sums to zero;
+- Type II: the centre weight stays 1 and each missing rho[j] is added to
+  the mirrored offset -j.
 
 State ordering is block form throughout: all position blocks (one block of
 n cells per agent type), then all velocity blocks in the same type order.
@@ -14,10 +23,12 @@ The head vehicle of the line is type 1 in cell 1, i.e. state index 0.
 from __future__ import annotations
 
 import json
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -48,23 +59,9 @@ class Arrangement(Enum):
         return 2 * self.n_types
 
 
-class Topology(Enum):
-    CIRCLE = "circle"
-    LINE_TYPE_I = "line-type-1"
-    LINE_TYPE_II = "line-type-2"
-
-
 class BoundaryCondition(Enum):
     TYPE_I = 1
     TYPE_II = 2
-
-    @property
-    def topology(self) -> Topology:
-        return (
-            Topology.LINE_TYPE_I
-            if self is BoundaryCondition.TYPE_I
-            else Topology.LINE_TYPE_II
-        )
 
 
 def _freeze_rho(rho: Mapping[int, float]) -> Mapping[int, float]:
@@ -90,8 +87,8 @@ class AgentParams:
         object.__setattr__(self, "rho_x", _freeze_rho(self.rho_x))
         object.__setattr__(self, "rho_v", _freeze_rho(self.rho_v))
         values = [self.g_x, self.g_v, *self.rho_x.values(), *self.rho_v.values()]
-        if not all(np.isfinite(values)):
-            raise ShapeError("agent parameters must be finite")
+        if not all(isinstance(v, numbers.Real) and np.isfinite(v) for v in values):
+            raise ShapeError("agent parameters must be finite numbers")
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,6 @@ class SystemMatrix:
     """Dense first-order system matrix in block (positions, velocities) form."""
 
     n_per_type: int
-    topology: Topology
     entries: np.ndarray
 
     def __post_init__(self):
@@ -167,16 +163,24 @@ def _as_agent(raw, offsets: Sequence[int]) -> AgentParams:
         g_x, g_v = raw["g_x"], raw["g_v"]
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"agent entry missing gain: {exc}") from exc
-    rho_x = _complete(dict(raw.get("rho_x", {})), raw.get("infer", ()), "rho_x", offsets)
-    rho_v = _complete(dict(raw.get("rho_v", {})), raw.get("infer", ()), "rho_v", offsets)
+    try:
+        rho_x, rho_v = dict(raw.get("rho_x", {})), dict(raw.get("rho_v", {}))
+        infer = list(raw.get("infer", ()))
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"malformed agent entry: {exc}") from exc
+    rho_x = _complete(rho_x, infer, "rho_x", offsets)
+    rho_v = _complete(rho_v, infer, "rho_v", offsets)
     return AgentParams(g_x=g_x, g_v=g_v, rho_x=rho_x, rho_v=rho_v)
 
 
 def _complete(rho: dict, infer, which: str, offsets: Sequence[int]) -> dict:
     """Fill omitted offsets with zero, optionally deriving one from the constraint."""
-    rho = {int(j): float(w) for j, w in rho.items()}
+    try:
+        rho = {int(j): float(w) for j, w in rho.items()}
+    except TypeError as exc:
+        raise ShapeError(f"{which}: weights must be numbers: {exc}") from exc
     for entry in infer:
-        if ":" not in entry:
+        if not isinstance(entry, str) or ":" not in entry:
             raise ShapeError(f"infer entry {entry!r} must look like 'rho_x:-1'")
     inferred = [
         int(entry.split(":", 1)[1])
@@ -206,6 +210,8 @@ def build_spec(arrangement: Arrangement, agents: Sequence) -> FlockSpec:
     """
     arrangement = Arrangement(arrangement)
     want = arrangement.n_types
+    if not isinstance(agents, Sequence):
+        raise ShapeError(f"agents must be a list, got {type(agents).__name__}")
     if len(agents) != want:
         raise ShapeError(f"expected {want} agent entries, got {len(agents)}")
     return FlockSpec(arrangement, tuple(_as_agent(a, arrangement.offsets) for a in agents))
@@ -228,37 +234,14 @@ def alphas_betas(spec: FlockSpec) -> AlphaBeta:
     return AlphaBeta(alpha_x=ax, beta_x=bx, alpha_v=av, beta_v=bv)
 
 
-def _shift_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic shifts: (P_plus @ z)[j] = z[j+1], (P_minus @ z)[j] = z[j-1]."""
-    idx = np.arange(n)
-    p_plus = np.zeros((n, n))
-    p_plus[idx, (idx + 1) % n] = 1.0
-    return p_plus, p_plus.T.copy()
+def _block_index(k, t: int, n: int):
+    """Block-order state index of vehicle k (type k mod t, cell k // t)."""
+    return (k % t) * n + k // t
 
 
-def _coupling_blocks(spec: FlockSpec, n: int, which: str) -> list[list[np.ndarray]]:
-    p_plus, p_minus = _shift_matrices(n)
-    eye = np.eye(n)
-    rho = [getattr(a, which) for a in spec.agents]
-    g = [a.g_x if which == "rho_x" else a.g_v for a in spec.agents]
-
-    if spec.arrangement is Arrangement.TRIATOMIC_NN:
-        return [
-            [g[0] * eye, g[0] * rho[0][1] * eye, g[0] * rho[0][-1] * p_minus],
-            [g[1] * rho[1][-1] * eye, g[1] * eye, g[1] * rho[1][1] * eye],
-            [g[2] * rho[2][1] * p_plus, g[2] * rho[2][-1] * eye, g[2] * eye],
-        ]
-
-    # diatomic: same-type circulant carries the central 1 and the +-2 weights,
-    # cross-type circulant the +-1 weights.
-    b1 = eye + rho[0][-2] * p_minus + rho[0][2] * p_plus
-    b2 = eye + rho[1][-2] * p_minus + rho[1][2] * p_plus
-    a1 = rho[0][1] * eye + rho[0][-1] * p_minus
-    a2 = rho[1][-1] * eye + rho[1][1] * p_plus
-    return [
-        [g[0] * b1, g[0] * a1],
-        [g[1] * a2, g[1] * b2],
-    ]
+def _couplings(agent: AgentParams, tn: int):
+    """(column shift, gain, weights) of the position and velocity couplings."""
+    return ((0, agent.g_x, agent.rho_x), (tn, agent.g_v, agent.rho_v))
 
 
 def assemble_periodic(spec: FlockSpec, n: int) -> SystemMatrix:
@@ -266,102 +249,53 @@ def assemble_periodic(spec: FlockSpec, n: int) -> SystemMatrix:
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
     t = spec.n_types
-    lx = np.block(_coupling_blocks(spec, n, "rho_x"))
-    lv = np.block(_coupling_blocks(spec, n, "rho_v"))
-    upper = np.hstack([np.zeros((t * n, t * n)), np.eye(t * n)])
-    lower = np.hstack([lx, lv])
-    return SystemMatrix(n, Topology.CIRCLE, np.vstack([upper, lower]))
+    tn = t * n
+    m = np.zeros((2 * tn, 2 * tn))
+    m[:tn, tn:] = np.eye(tn)
+    for a, agent in enumerate(spec.agents):
+        k = np.arange(a, tn, t)
+        rows = tn + _block_index(k, t, n)
+        for shift, g, rho in _couplings(agent, tn):
+            for j, w in ((0, 1.0), *rho.items()):
+                m[rows, shift + _block_index((k + j) % tn, t, n)] += g * w
+    return SystemMatrix(n, m)
 
 
-def _line_rows_triatomic(m: np.ndarray, spec: FlockSpec, n: int, bc: BoundaryCondition):
-    g3 = spec.agents[2]
-    # tail vehicle: type 3 in cell n. Column offsets: type i block starts at (i-1)n.
-    row = 3 * n + 2 * n + (n - 1)
-    m[row, :] = 0.0
-    for shift, g, rho in ((0, g3.g_x, g3.rho_x), (3 * n, g3.g_v, g3.rho_v)):
-        self_col = shift + 2 * n + (n - 1)
-        front_col = shift + n + (n - 1)  # type 2, same cell
-        if bc is BoundaryCondition.TYPE_I:
-            m[row, self_col] = -g * rho[-1]
-            m[row, front_col] = g * rho[-1]
-        else:
-            m[row, self_col] = g
-            m[row, front_col] = -g
-
-
-def _line_rows_diatomic(m: np.ndarray, spec: FlockSpec, n: int, bc: BoundaryCondition):
-    a1, a2 = spec.agents
-    acc = 2 * n  # first acceleration row
-
-    # type 1, cell n: the +2 neighbor is missing.
-    row = acc + (n - 1)
-    m[row, :] = 0.0
-    for shift, g, rho in ((0, a1.g_x, a1.rho_x), (2 * n, a1.g_v, a1.rho_v)):
-        self_col = shift + (n - 1)
-        rear_col = shift + n + (n - 1)      # type 2, cell n
-        front_col = shift + n + (n - 2)     # type 2, cell n-1
-        far_front_col = shift + (n - 2)     # type 1, cell n-1
-        if bc is BoundaryCondition.TYPE_I:
-            m[row, self_col] = -g * (rho[1] + rho[-1] + rho[-2])
-            m[row, far_front_col] = g * rho[-2]
-        else:
-            m[row, self_col] = g
-            m[row, far_front_col] = -g * (1.0 + rho[1] + rho[-1])
-        m[row, rear_col] = g * rho[1]
-        m[row, front_col] = g * rho[-1]
-
-    # type 2, cell 1: the -2 neighbor is missing.
-    row = acc + n
-    m[row, :] = 0.0
-    for shift, g, rho in ((0, a2.g_x, a2.rho_x), (2 * n, a2.g_v, a2.rho_v)):
-        self_col = shift + n
-        front_col = shift + 0               # type 1, cell 1
-        rear_col = shift + 1                # type 1, cell 2
-        far_rear_col = shift + n + 1        # type 2, cell 2
-        if bc is BoundaryCondition.TYPE_I:
-            m[row, self_col] = -g * (rho[-1] + rho[1] + rho[2])
-            m[row, far_rear_col] = g * rho[2]
-        else:
-            m[row, self_col] = g
-            m[row, far_rear_col] = -g * (1.0 + rho[1] + rho[-1])
-        m[row, front_col] = g * rho[-1]
-        m[row, rear_col] = g * rho[1]
-
-    # type 2, cell n: both rearward neighbors are missing.
-    row = acc + n + (n - 1)
-    m[row, :] = 0.0
-    for shift, g, rho in ((0, a2.g_x, a2.rho_x), (2 * n, a2.g_v, a2.rho_v)):
-        self_col = shift + n + (n - 1)
-        front_col = shift + (n - 1)         # type 1, cell n
-        far_front_col = shift + n + (n - 2)  # type 2, cell n-1
-        if bc is BoundaryCondition.TYPE_I:
-            m[row, self_col] = -g * (rho[-1] + rho[-2])
-            m[row, front_col] = g * rho[-1]
-            m[row, far_front_col] = g * rho[-2]
-        else:
-            m[row, self_col] = g
-            m[row, front_col] = g * (rho[1] + rho[-1])
-            m[row, far_front_col] = g * (rho[2] + rho[-2])
+def _truncated_row(rho: Mapping[int, float], k: int, tn: int, bc: BoundaryCondition):
+    """Neighbor vehicle -> weight (before the gain) of line vehicle k's row."""
+    kept = {j: w for j, w in rho.items() if 0 <= k + j < tn}
+    if bc is BoundaryCondition.TYPE_I:
+        centre = -sum(kept[j] for j in sorted(kept, key=abs))
+    else:
+        centre = 1.0
+        for j, w in rho.items():
+            if j not in kept:
+                kept[-j] += w
+    return {k: centre, **{k + j: w for j, w in kept.items()}}
 
 
 def assemble_line(spec: FlockSpec, n: int, bc: BoundaryCondition) -> SystemMatrix:
-    """System matrix of the open line: periodic interior, modified ends.
+    """System matrix of the open line: periodic interior, truncated ends.
 
     The head vehicle's acceleration row is identically zero (it drives the
-    flock), and the wrapped-around couplings at the tail are replaced by
-    the Type I or Type II truncation, both of which keep every row sum at
-    zero.
+    flock); every other row that misses a neighbor takes the Type I or
+    Type II truncation, both of which keep the row sum at zero.
     """
     bc = BoundaryCondition(bc)
-    periodic = assemble_periodic(spec, n)
-    m = periodic.entries.copy()
+    m = assemble_periodic(spec, n).entries.copy()
     t = spec.n_types
-    m[t * n, :] = 0.0  # leader: type 1, cell 1
-    if spec.arrangement is Arrangement.TRIATOMIC_NN:
-        _line_rows_triatomic(m, spec, n, bc)
-    else:
-        _line_rows_diatomic(m, spec, n, bc)
-    return SystemMatrix(n, bc.topology, m)
+    tn = t * n
+    m[tn, :] = 0.0  # leader: type 1, cell 1
+    for k in range(1, tn):
+        agent = spec.agents[k % t]
+        if all(0 <= k + j < tn for j in agent.rho_x):
+            continue
+        row = tn + _block_index(k, t, n)
+        m[row, :] = 0.0
+        for shift, g, rho in _couplings(agent, tn):
+            for c, w in _truncated_row(rho, k, tn, bc).items():
+                m[row, shift + _block_index(c, t, n)] = g * w
+    return SystemMatrix(n, m)
 
 
 # --- JSON serialization ----------------------------------------------------

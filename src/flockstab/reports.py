@@ -90,7 +90,7 @@ def trajectory_svg(traj: Trajectory, max_agents: int = 40) -> str:
     ]
     return render_plot(
         series,
-        title=f"leader-relative deviations (N={n}, {traj.bc.topology.value})",
+        title=f"leader-relative deviations (N={n}, line-type-{traj.bc.value})",
         xlabel="t",
         ylabel="z_k - z_leader",
     )

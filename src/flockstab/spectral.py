@@ -1,15 +1,20 @@
 """Per-mode characteristic polynomials, spectra, and stability classification.
 
 On the circle the coupling blocks are circulant, so the system decomposes
-into independent Fourier modes phi_m = 2*pi*m/n.  Each mode contributes the
-roots of a small characteristic polynomial Q(nu, phi): degree six for three
-agent types, degree four for two.  Linear stability means the only
-eigenvalue on the closed right half-plane is the double zero at phi = 0
-(the rigid in-formation motion) with a one-dimensional eigenspace.
+into independent Fourier modes phi_m = 2*pi*m/n.  In mode phi the model's
+stencil (see :mod:`flockstab.model`) reduces to a t x t matrix whose
+(a, b) entry is the quadratic Lx + nu*Lv - nu^2*[a == b] in the eigenvalue
+variable nu: Lx and Lv sum g * rho[j] * exp(i*phi*s) over the offsets j
+that take type a to type b while shifting the cell by s.  Its determinant
+is the mode polynomial Q(nu, phi), of degree 2t: six for three agent
+types, four for two.  Linear stability means the only eigenvalue on the
+closed right half-plane is the double zero at phi = 0 (the rigid
+in-formation motion) with a one-dimensional eigenspace.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,56 +104,77 @@ class StabilityVerdict:
         }
 
 
-def _entry_polys_triatomic(spec: FlockSpec, phi: float):
-    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-    a1, a2, a3 = spec.agents
-    return [
-        [
-            np.array([a1.g_x, a1.g_v, -1.0], dtype=complex),
-            np.array([a1.g_x * a1.rho_x[1], a1.g_v * a1.rho_v[1]], dtype=complex),
-            np.array([a1.g_x * a1.rho_x[-1] * em, a1.g_v * a1.rho_v[-1] * em]),
-        ],
-        [
-            np.array([a2.g_x * a2.rho_x[-1], a2.g_v * a2.rho_v[-1]], dtype=complex),
-            np.array([a2.g_x, a2.g_v, -1.0], dtype=complex),
-            np.array([a2.g_x * a2.rho_x[1], a2.g_v * a2.rho_v[1]], dtype=complex),
-        ],
-        [
-            np.array([a3.g_x * a3.rho_x[1] * ep, a3.g_v * a3.rho_v[1] * ep]),
-            np.array([a3.g_x * a3.rho_x[-1], a3.g_v * a3.rho_v[-1]], dtype=complex),
-            np.array([a3.g_x, a3.g_v, -1.0], dtype=complex),
-        ],
-    ]
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop trailing zero coefficients (keeping one), as numpy.polynomial does."""
+    end = len(c)
+    while end > 1 and c[end - 1] == 0:
+        end -= 1
+    return c[:end]
 
 
-def _lambda_mu(agent, which: str, type_index: int, phi: float) -> tuple[complex, complex]:
-    """Cross-type (lambda) and same-type (mu) circulant symbols of one agent."""
-    rho = agent.rho_x if which == "x" else agent.rho_v
-    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-    if type_index == 0:
-        lam = rho[1] + rho[-1] * em
-    else:
-        lam = rho[-1] + rho[1] * ep
-    mu = 1.0 + rho[2] * ep + rho[-2] * em
-    return lam, mu
+@functools.lru_cache(maxsize=None)
+def _bloch_terms(t: int, a: int, offsets: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(offset j, cell shift s, target type b) of type a's stencil terms.
+
+    a + j = t*s + b.  The terms come in the order each mode-matrix entry
+    sums them: s = 0, +1, -1, +2, ...
+    """
+    terms = [(j, *divmod(a + j, t)) for j in (0, *offsets)]
+    return tuple(sorted(terms, key=lambda term: (abs(term[1]), term[1] < 0)))
 
 
-def _entry_polys_diatomic(spec: FlockSpec, phi: float):
-    a1, a2 = spec.agents
-    lx1, mx1 = _lambda_mu(a1, "x", 0, phi)
-    lv1, mv1 = _lambda_mu(a1, "v", 0, phi)
-    lx2, mx2 = _lambda_mu(a2, "x", 1, phi)
-    lv2, mv2 = _lambda_mu(a2, "v", 1, phi)
-    return [
-        [
-            np.array([a1.g_x * mx1, a1.g_v * mv1, -1.0]),
-            np.array([a1.g_x * lx1, a1.g_v * lv1]),
-        ],
-        [
-            np.array([a2.g_x * lx2, a2.g_v * lv2]),
-            np.array([a2.g_x * mx2, a2.g_v * mv2, -1.0]),
-        ],
-    ]
+def _mode_matrix(spec: FlockSpec, phi: float) -> list[list[np.ndarray]]:
+    """Mode-phi matrix of quadratics in nu, one row and column per agent type.
+
+    Entry (a, b) is [Lx, Lv, -1 if a == b]: each stencil term of type a
+    that reaches type b in the cell shifted by s adds
+    g * rho[j] * exp(i*phi*s) to Lx (position gain and weights) and Lv
+    (velocity ones).
+    """
+    t = spec.n_types
+    phases = {0: 1.0}
+    rows = []
+    for a, agent in enumerate(spec.agents):
+        lx, lv = [None] * t, [None] * t
+        for j, s, b in _bloch_terms(t, a, tuple(agent.rho_x)):
+            if s not in phases:
+                phases[s] = np.exp(1j * s * phi)
+            if j:
+                x = agent.g_x * agent.rho_x[j] * phases[s]
+                v = agent.g_v * agent.rho_v[j] * phases[s]
+            else:
+                x, v = agent.g_x, agent.g_v
+            lx[b] = x if lx[b] is None else lx[b] + x
+            lv[b] = v if lv[b] is None else lv[b] + v
+        row = []
+        for b in range(t):
+            poly = [0.0] if lx[b] is None else [lx[b], lv[b], -1.0 if b == a else 0.0]
+            row.append(_trim(np.array(poly, dtype=complex)))
+        rows.append(row)
+    return rows
+
+
+def _det(m: list[list[np.ndarray]]) -> np.ndarray:
+    """Determinant of a matrix of polynomials by first-row cofactor expansion.
+
+    Each product, sum and trim is the one numpy.polynomial's polymul,
+    polyadd and polysub would make, without their per-call overhead.
+    """
+    if len(m) == 1:
+        return m[0][0]
+    det = None
+    for c, entry in enumerate(m[0]):
+        term = _trim(np.convolve(entry, _det([row[:c] + row[c + 1:] for row in m[1:]])))
+        if det is None:
+            det = term
+            continue
+        if c % 2:
+            term = -term
+        longer, shorter = (det, term) if len(det) > len(term) else (term, det)
+        det = longer.copy()
+        det[: len(shorter)] += shorter
+        det = _trim(det)
+    return det
 
 
 def char_poly(spec: FlockSpec, phi: float) -> CharPoly:
@@ -158,25 +184,25 @@ def char_poly(spec: FlockSpec, phi: float) -> CharPoly:
     matrix whose entries are degree <= 2 polynomials in the eigenvalue
     variable; no root finding is involved.
     """
-    if spec.arrangement is Arrangement.TRIATOMIC_NN:
-        m = _entry_polys_triatomic(spec, phi)
-        det = npp.polysub(
-            npp.polymul(m[0][0], npp.polysub(npp.polymul(m[1][1], m[2][2]),
-                                             npp.polymul(m[1][2], m[2][1]))),
-            npp.polymul(m[0][1], npp.polysub(npp.polymul(m[1][0], m[2][2]),
-                                             npp.polymul(m[1][2], m[2][0]))),
-        )
-        det = npp.polyadd(
-            det,
-            npp.polymul(m[0][2], npp.polysub(npp.polymul(m[1][0], m[2][1]),
-                                             npp.polymul(m[1][1], m[2][0]))),
-        )
-    else:
-        m = _entry_polys_diatomic(spec, phi)
-        det = npp.polysub(npp.polymul(m[0][0], m[1][1]), npp.polymul(m[0][1], m[1][0]))
-    coeffs = np.zeros(spec.arrangement.degree + 1, dtype=complex)
+    det = _det(_mode_matrix(spec, phi))
+    coeffs = np.zeros(2 * spec.n_types + 1, dtype=complex)
     coeffs[: len(det)] = det
     return CharPoly(phi=phi, coeffs=coeffs)
+
+
+def _lambda_mu(agent, which: str, type_index: int, phi: float) -> tuple[complex, complex]:
+    """Cross-type (lambda) and same-type (mu) symbols of a two-type agent.
+
+    Only the ``a0_*`` closed forms use these; ``char_poly`` reads the stencil.
+    """
+    rho = agent.rho_x if which == "x" else agent.rho_v
+    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
+    if type_index == 0:
+        lam = rho[1] + rho[-1] * em
+    else:
+        lam = rho[-1] + rho[1] * ep
+    mu = 1.0 + rho[2] * ep + rho[-2] * em
+    return lam, mu
 
 
 def a0_constant_term(spec: FlockSpec, phi: float) -> complex:

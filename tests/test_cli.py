@@ -37,6 +37,28 @@ def test_check_exit_codes(tmp_path, fig1_path, fig2_path, capsys):
     assert main(["check", "--spec", str(missing)]) == 1
 
 
+@pytest.mark.parametrize(
+    "agents_patch",
+    [
+        {"agents": 5},
+        {"g_x": None},
+        {"g_x": "abc"},
+        {"rho_x": {"1": None}},
+    ],
+    ids=["agents-not-a-list", "gain-null", "gain-string", "weight-null"],
+)
+def test_malformed_spec_is_an_input_error(tmp_path, capsys, agents_patch):
+    doc = fs.model.spec_to_dict(figure1())
+    if "agents" in agents_patch:
+        doc.update(agents_patch)
+    else:
+        doc["agents"][0].update(agents_patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_writes_report(tmp_path, fig1_path):
     out = tmp_path / "out"
     assert main(["check", "--spec", str(fig1_path), "--out", str(out)]) == 0

@@ -299,6 +299,29 @@ def test_line_diatomic_boundary_rows(fig3):
     assert row[n - 1] == pytest.approx(a2.g_x * (a2.rho_x[1] + a2.rho_x[-1]), abs=1e-15)
     assert row[2 * n - 2] == pytest.approx(a2.g_x * (a2.rho_x[2] + a2.rho_x[-2]), abs=1e-15)
 
+    # Type II, type 1 cell n: the missing +2 weight moves to the -2 neighbor
+    # (for these weights the mirror sum equals -(1 + rho_1 + rho_-1) exactly)
+    row = m2[2 * n + n - 1]
+    assert row[n - 1] == a1.g_x
+    assert row[n - 2] == a1.g_x * (a1.rho_x[-2] + a1.rho_x[2])
+    assert row[n - 2] == -a1.g_x * (1.0 + a1.rho_x[1] + a1.rho_x[-1])
+    assert row[2 * n - 1] == a1.g_x * a1.rho_x[1]
+    assert row[2 * n - 2] == a1.g_x * a1.rho_x[-1]
+    assert row[3 * n - 1] == a1.g_v
+    assert row[3 * n - 2] == a1.g_v * (a1.rho_v[-2] + a1.rho_v[2])
+    assert np.count_nonzero(row[: 2 * n]) == 4
+
+    # Type II, type 2 cell 1: the missing -2 weight moves to the +2 neighbor
+    row = m2[2 * n + n]
+    assert row[n] == a2.g_x
+    assert row[n + 1] == a2.g_x * (a2.rho_x[2] + a2.rho_x[-2])
+    assert row[n + 1] == -a2.g_x * (1.0 + a2.rho_x[1] + a2.rho_x[-1])
+    assert row[0] == a2.g_x * a2.rho_x[-1]
+    assert row[1] == a2.g_x * a2.rho_x[1]
+    assert row[3 * n] == a2.g_v
+    assert row[3 * n + 1] == a2.g_v * (a2.rho_v[2] + a2.rho_v[-2])
+    assert np.count_nonzero(row[: 2 * n]) == 4
+
 
 # --- serialization -----------------------------------------------------------
 

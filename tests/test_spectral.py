@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 from scipy.optimize import linear_sum_assignment
 
 import flockstab as fs
+from flockstab import spectral
 from flockstab import (
     Arrangement,
     CharPoly,
@@ -105,6 +107,35 @@ def test_char_poly_matches_numeric_determinant(arrangement):
         cp = char_poly(spec, phi)
         direct = np.linalg.det(_numeric_matrix(spec, nu, phi))
         assert cp(nu) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+
+
+def _npp_det(m):
+    """Reference: first-row cofactor expansion with numpy.polynomial."""
+    if len(m) == 1:
+        return m[0][0]
+    det = None
+    for c, entry in enumerate(m[0]):
+        term = npp.polymul(entry, _npp_det([row[:c] + row[c + 1:] for row in m[1:]]))
+        det = term if c == 0 else (npp.polysub if c % 2 else npp.polyadd)(det, term)
+    return det
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_mode_determinant_matches_numpy_polynomial_bitwise(arrangement, fig1, fig3):
+    rng = np.random.default_rng(29)
+    if arrangement is Arrangement.TRIATOMIC_NN:
+        figure, zero_cross_v = fig1, {"1": 0.0, "-1": -1.0}
+    else:
+        figure, zero_cross_v = fig3, {"1": 0.0, "-1": 0.0, "2": -0.5, "-2": -0.5}
+    # zero cross-type velocity weights leave trailing zeros both sides must trim
+    doc = fs.model.spec_to_dict(figure)
+    doc["agents"][0]["rho_v"] = zero_cross_v
+    specs = [figure, fs.spec_from_dict(doc)]
+    specs += [random_spec(rng, arrangement) for _ in range(10)]
+    for spec in specs:
+        for phi in (0.0, *rng.uniform(0.0, 2.0 * np.pi, 4)):
+            m = spectral._mode_matrix(spec, phi)
+            assert np.array_equal(spectral._det(m), _npp_det(m))
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
