@@ -8,7 +8,6 @@ mode root-curve geometry numerically.
 """
 
 from .conditions import (
-    A0_SLOPE_FACTOR,
     ConditionClause,
     ConditionReport,
     D_func,

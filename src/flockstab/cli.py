@@ -65,7 +65,7 @@ def cmd_check(args) -> int:
 def cmd_spectrum(args) -> int:
     spec = load_spec(args.spec)
     spectra = spectrum_periodic(spec, args.n)
-    verdict = classify(spectra, tol=args.tol, spec=spec)
+    verdict = classify(spectra, tol=args.tol)
     out = _out_dir(args)
     reports.write_spectrum_csv(_target(out, "spectrum.csv", args.force), spectra)
     reports.write_json(_target(out, "verdict.json", args.force), verdict.to_dict())

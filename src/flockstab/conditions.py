@@ -18,13 +18,6 @@ from .model import Arrangement, FlockSpec, alphas_betas
 
 CONDITION_TOL = 1e-9
 
-#: Im a0'(0) = factor * (g-gain product) * necessary_condition_value.
-#: Frozen against the finite-difference oracle.
-A0_SLOPE_FACTOR = {
-    Arrangement.TRIATOMIC_NN: 0.25,
-    Arrangement.DIATOMIC_NNN: -0.5,
-}
-
 
 class Overall(Enum):
     NECESSARY_CONDITIONS_HOLD = "necessary-conditions-hold"

@@ -8,8 +8,6 @@ extremal value over all vehicles and times is the transient magnitude.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +19,6 @@ BLOWUP_GUARD = 1e12
 
 #: target spacing of stored trajectory samples, in time units
 STORE_SPACING = 0.1
-
-THREADS_ENV = "FLOCKSTAB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -56,10 +52,6 @@ class Trajectory:
         """Leader-relative position deviations on the stored grid."""
         pos = self.states[:, : self.n_agents]
         return pos - pos[:, [0]]
-
-    def agent_type_cell(self, index: int) -> tuple[int, int]:
-        """Map a flat agent index to (type, cell), both 1-based."""
-        return index // self.n + 1, index % self.n + 1
 
 
 @dataclass(frozen=True)
@@ -212,19 +204,12 @@ class ScanResult:
         }
 
 
-def _threads(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    return max(1, int(os.environ.get(THREADS_ENV, "1")))
-
-
 def scan_N(
     spec: FlockSpec,
     bc: BoundaryCondition,
     N_values: list[int],
     dt: float = 0.01,
     t_max: float | None = None,
-    threads: int | None = None,
 ) -> ScanResult:
     """Transient magnitude as a function of flock size.
 
@@ -248,12 +233,7 @@ def scan_N(
         log_mag = float(np.log(abs(mag))) if mag != 0.0 else None
         return ScanPoint(n_total, mag, log_mag)
 
-    workers = _threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = tuple(pool.map(run, N_values))
-    else:
-        points = tuple(run(n_total) for n_total in N_values)
+    points = tuple(run(n_total) for n_total in N_values)
 
     usable = [(p.n_agents, p.log_abs_magnitude) for p in points if not p.censored]
     if len(usable) < 2:

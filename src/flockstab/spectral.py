@@ -10,6 +10,12 @@ is the mode polynomial Q(nu, phi), of degree 2t: six for three agent
 types, four for two.  Linear stability means the only eigenvalue on the
 closed right half-plane is the double zero at phi = 0 (the rigid
 in-formation motion) with a one-dimensional eigenspace.
+
+Every weight row sums to -1, so at phi = 0 both Lx and Lv annihilate the
+all-ones vector and nu^2 divides Q(nu, 0).  The Jordan chain from the
+all-ones vector already accounts for those two roots, and every further
+kernel vector of Lx(0) adds at least one more, so a mode-0 zero root of
+multiplicity exactly two certifies a one-dimensional eigenspace.
 """
 
 from __future__ import annotations
@@ -23,15 +29,13 @@ from numpy.polynomial import polynomial as npp
 
 from .conditions import D_func
 from .errors import DegenerateLeadingCoefficient, SizeError
-from .model import Arrangement, FlockSpec, alphas_betas, assemble_periodic
+from .model import Arrangement, FlockSpec, alphas_betas
 
 CLASSIFY_TOL = 1e-9
 
 _ZERO_EIGENVALUE_SCALE = 1e-8
 
 _RESIDUAL_SCALE = 1e-8
-
-_GEOMETRIC_CHECK_MAX_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,6 @@ class StabilityVerdict:
     max_real_part: float
     witness_phi: float
     witness_eigenvalue: complex
-    a2_at_zero: complex | None = None
-    geometric_multiplicity: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -97,10 +99,6 @@ class StabilityVerdict:
                 "re": self.witness_eigenvalue.real,
                 "im": self.witness_eigenvalue.imag,
             },
-            "a2_at_zero": None
-            if self.a2_at_zero is None
-            else {"re": self.a2_at_zero.real, "im": self.a2_at_zero.imag},
-            "geometric_multiplicity": self.geometric_multiplicity,
         }
 
 
@@ -182,11 +180,16 @@ def char_poly(spec: FlockSpec, phi: float) -> CharPoly:
 
     The coefficients come from expanding the determinant of the small
     matrix whose entries are degree <= 2 polynomials in the eigenvalue
-    variable; no root finding is involved.
+    variable; no root finding is involved.  At phi = 0 the row-sum
+    constraint makes nu^2 an exact factor, so a_0 and a_1 are set to zero
+    rather than left at roundoff (whose square root would otherwise move
+    the double zero off the origin by ~1e-8).
     """
     det = _det(_mode_matrix(spec, phi))
     coeffs = np.zeros(2 * spec.n_types + 1, dtype=complex)
     coeffs[: len(det)] = det
+    if phi == 0.0:
+        coeffs[:2] = 0.0
     return CharPoly(phi=phi, coeffs=coeffs)
 
 
@@ -263,70 +266,42 @@ def spectrum_periodic(spec: FlockSpec, n: int) -> list[ModeSpectrum]:
     return [mode_roots(char_poly(spec, 2.0 * np.pi * m / n)) for m in range(n)]
 
 
-def _geometric_multiplicity(spec: FlockSpec, n: int) -> int:
-    """Kernel dimension of the dense circle matrix (numerical rank via SVD)."""
-    m = assemble_periodic(spec, n).entries
-    sigma = np.linalg.svd(m, compute_uv=False)
-    threshold = sigma[0] * m.shape[0] * np.finfo(float).eps
-    return int(np.sum(sigma <= threshold))
+def classify(spectra: list[ModeSpectrum], tol: float = CLASSIFY_TOL) -> StabilityVerdict:
+    """Classify the spectra of all n modes of a circle, in mode order.
 
+    Stable demands exactly two zero roots over all modes, both at
+    phi = 0, and every other eigenvalue strictly left of -tol; by the
+    module-level argument that double zero has a one-dimensional
+    eigenspace, so the rule is exact at every n.  Any eigenvalue right of
+    +tol is Unstable; everything in between (extra eigenvalues stuck on
+    the imaginary axis) is MarginallyUnstable.
 
-def classify(
-    spectra: list[ModeSpectrum],
-    tol: float = CLASSIFY_TOL,
-    *,
-    spec: FlockSpec | None = None,
-) -> StabilityVerdict:
-    """Classify a periodic spectrum.
-
-    Stable demands a double zero at phi = 0 (and nowhere else), geometric
-    multiplicity one, and every other eigenvalue strictly left of -tol.
-    Any eigenvalue right of +tol is Unstable; everything in between (extra
-    eigenvalues stuck on the imaginary axis) is MarginallyUnstable.
-
-    The geometric multiplicity is read off the dense circle matrix for
-    small systems; for larger ones a nonvanishing quadratic coefficient at
-    phi = 0 together with the double zero certifies it.
+    Modes m and n - m are complex conjugates, so the largest real part
+    and its witness are taken over modes m <= n/2 only; otherwise
+    roundoff would pick between the two.
     """
+    n = len(spectra)
     zero_total = 0
     zeros_at_mode0 = 0
     max_re = -np.inf
     witness_phi = float("nan")
     witness = complex("nan")
-    for ms in spectra:
-        thr = ms.zero_threshold()
-        small = np.abs(ms.eigenvalues) < thr
+    for m, ms in enumerate(spectra):
+        small = np.abs(ms.eigenvalues) < ms.zero_threshold()
         zero_total += int(small.sum())
-        if ms.phi == 0.0:
-            zeros_at_mode0 += int(small.sum())
+        if m == 0:
+            zeros_at_mode0 = int(small.sum())
         others = ms.eigenvalues[~small]
-        if len(others):
+        if 2 * m <= n and len(others):
             re = others.real.max()
             if re > max_re:
                 max_re = re
                 witness_phi = ms.phi
                 witness = complex(others[others.real.argmax()])
 
-    a2 = None
-    geometric = None
-    geometric_ok = True
-    if spec is not None:
-        n = len(spectra)
-        a2 = complex(char_poly(spec, 0.0).coeffs[2])
-        if n <= _GEOMETRIC_CHECK_MAX_CELLS:
-            geometric = _geometric_multiplicity(spec, n)
-            geometric_ok = geometric == 1
-        else:
-            geometric_ok = abs(a2) > tol
-
     if max_re > tol:
         status = Stability.UNSTABLE
-    elif (
-        zeros_at_mode0 == 2
-        and zero_total == 2
-        and max_re < -tol
-        and geometric_ok
-    ):
+    elif zeros_at_mode0 == 2 and zero_total == 2 and max_re < -tol:
         status = Stability.STABLE
     else:
         status = Stability.MARGINALLY_UNSTABLE
@@ -336,6 +311,4 @@ def classify(
         max_real_part=float(max_re),
         witness_phi=witness_phi,
         witness_eigenvalue=witness,
-        a2_at_zero=a2,
-        geometric_multiplicity=geometric,
     )

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flockstab import (
-    A0_SLOPE_FACTOR,
     Arrangement,
     D_func,
     E_func,
@@ -23,6 +22,13 @@ from flockstab import (
 from conftest import random_spec, random_symmetric
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+#: Im a0'(0) = factor * (g-gain product) * necessary_condition_value.
+#: Frozen against the finite-difference oracle.
+A0_SLOPE_FACTOR = {
+    Arrangement.TRIATOMIC_NN: 0.25,
+    Arrangement.DIATOMIC_NNN: -0.5,
+}
 
 
 # --- helper functions --------------------------------------------------------
@@ -199,5 +205,5 @@ def test_symmetric_specs_never_classified_unstable(arrangement):
         if arrangement is Arrangement.TRIATOMIC_NN:
             assert not rep.verdicts["ii"]
         for n in (3, 8, 12):
-            verdict = classify(spectrum_periodic(spec, n), spec=spec)
+            verdict = classify(spectrum_periodic(spec, n))
             assert verdict.status is not Stability.UNSTABLE

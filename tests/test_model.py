@@ -138,6 +138,15 @@ def test_alpha_beta_roundtrip_exact_diatomic(r1, r2, rm2):
 
 # --- periodic assembly -------------------------------------------------------
 
+def test_block_index():
+    # vehicle k has type k mod t and cell k // t; states are type blocks of n
+    t, n = 3, 4
+    assert fs.model._block_index(0, t, n) == 0  # type 1, cell 1
+    assert fs.model._block_index(9, t, n) == 3  # type 1, cell 4
+    assert fs.model._block_index(1, t, n) == 4  # type 2, cell 1
+    assert fs.model._block_index(11, t, n) == 11  # type 3, cell 4
+
+
 def test_periodic_triatomic_small(fig1):
     m = assemble_periodic(fig1, 3).entries
     assert m.shape == (18, 18)

@@ -116,14 +116,6 @@ def test_trajectory_storage_grid(fig1):
     assert traj.states.shape == (len(traj.times), 24)
 
 
-def test_agent_type_cell(fig1):
-    traj = simulate(fig1, 4, BC1, 5.0, 0.01)
-    assert traj.agent_type_cell(0) == (1, 1)
-    assert traj.agent_type_cell(3) == (1, 4)
-    assert traj.agent_type_cell(4) == (2, 1)
-    assert traj.agent_type_cell(11) == (3, 4)
-
-
 # --- scans -------------------------------------------------------------------
 
 def test_scan_divisibility_checked(fig1):
@@ -149,12 +141,3 @@ def test_scan_slope_for_growing_transients(fig2):
     result = scan_N(fig2, BC1, [15, 30, 45], dt=0.02)
     assert result.slope > 0.0
     assert 0.0 < result.r_squared <= 1.0
-
-
-def test_scan_threads_deterministic(fig1, monkeypatch):
-    seq = scan_N(fig1, BC1, [9, 18], dt=0.02, threads=1)
-    par = scan_N(fig1, BC1, [9, 18], dt=0.02, threads=3)
-    assert [p.to_dict() for p in seq.points] == [p.to_dict() for p in par.points]
-    monkeypatch.setenv("FLOCKSTAB_THREADS", "2")
-    env = scan_N(fig1, BC1, [9, 18], dt=0.02)
-    assert [p.to_dict() for p in env.points] == [p.to_dict() for p in seq.points]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
@@ -21,7 +23,7 @@ from flockstab import (
     mode_roots,
     spectrum_periodic,
 )
-from conftest import random_diatomic, random_spec, random_triatomic
+from conftest import random_diatomic, random_spec, random_symmetric, random_triatomic
 
 
 def _numeric_matrix(spec, nu, phi):
@@ -259,17 +261,71 @@ def test_modes_m_and_n_minus_m_conjugate(fig1):
 
 # --- classification ----------------------------------------------------------
 
+def _dense_nullity(spec, n):
+    """Kernel dimension of the dense circle matrix (numerical rank via SVD)."""
+    m = assemble_periodic(spec, n).entries
+    sigma = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sigma <= sigma[0] * m.shape[0] * np.finfo(float).eps))
+
+
+def _shift_first_weight(spec, eps):
+    """The spec with type 1's rho_x[1] moved by eps (within CONSTRAINT_TOL)."""
+    first = spec.agents[0]
+    first = dataclasses.replace(first, rho_x={**first.rho_x, 1: first.rho_x[1] + eps})
+    return build_spec(spec.arrangement, (first, *spec.agents[1:]))
+
+
 def test_classify_figure_one_stable(fig1):
-    verdict = classify(spectrum_periodic(fig1, 60), spec=fig1)
+    verdict = classify(spectrum_periodic(fig1, 60))
     assert verdict.status is Stability.STABLE
     assert verdict.zero_multiplicity == 2
-    assert verdict.geometric_multiplicity == 1
+    assert _dense_nullity(fig1, 60) == 1
     assert verdict.max_real_part < -1e-9
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_stable_verdict_implies_one_dimensional_kernel(arrangement):
+    rng = np.random.default_rng(37)
+    specs = [random_spec(rng, arrangement) for _ in range(15)]
+    specs += [random_symmetric(rng, arrangement) for _ in range(5)]
+    stable = 0
+    for spec in specs:
+        for n in (3, 8, 12):
+            if classify(spectrum_periodic(spec, n)).status is Stability.STABLE:
+                stable += 1
+                assert _dense_nullity(spec, n) == 1
+    assert stable > 0
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3", "fig3c"])
+def test_classify_same_rule_at_every_size(figure, request):
+    spec = request.getfixturevalue(figure)
+    verdicts = [classify(spectrum_periodic(spec, n)) for n in (48, 64, 65, 2000)]
+    assert len({v.status for v in verdicts}) == 1
+    assert len({tuple(v.to_dict()) for v in verdicts}) == 1
+
+
+@pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-13])
+@pytest.mark.parametrize("figure", ["fig1", "fig3"])
+def test_constraint_roundoff_keeps_exact_double_zero(figure, eps, request):
+    spec = _shift_first_weight(request.getfixturevalue(figure), eps)
+    spectra = spectrum_periodic(spec, 60)
+    assert classify(spectra).status is Stability.STABLE
+    assert np.count_nonzero(spectra[0].eigenvalues == 0j) == 2
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_witness_from_lower_half_of_modes(arrangement):
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        spec = random_spec(rng, arrangement)
+        for n in (7, 48):
+            assert classify(spectrum_periodic(spec, n)).witness_phi <= np.pi
 
 
 def test_classify_figure_two_not_stable(fig2):
     # frozen from the computed spectrum: the small modes cross the axis
-    verdict = classify(spectrum_periodic(fig2, 60), spec=fig2)
+    verdict = classify(spectrum_periodic(fig2, 60))
     assert verdict.status is Stability.UNSTABLE
     assert verdict.max_real_part > 1e-3
 
@@ -287,7 +343,7 @@ def test_classify_zero_gain_marginal():
         ],
     )
     n = 12
-    verdict = classify(spectrum_periodic(spec, n), spec=spec)
+    verdict = classify(spectrum_periodic(spec, n))
     assert verdict.status is Stability.MARGINALLY_UNSTABLE
     assert verdict.zero_multiplicity >= n
 
