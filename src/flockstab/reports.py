@@ -76,8 +76,15 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         + [f"z_{k + 1}" for k in range(n)]
         + [f"v_{k + 1}" for k in range(n)]
     )
-    rows = ([t, *state] for t, state in zip(traj.times, traj.states))
-    write_csv(path, header, rows)
+    # '%.17g' % x == format(x, FLOAT_FMT) for every float, so the bytes
+    # match write_csv; one template per row avoids a fmt call per value
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            row_fmt % (t, *state.tolist())
+            for t, state in zip(traj.times.tolist(), traj.states)
+        )
 
 
 def trajectory_svg(traj: Trajectory, max_agents: int = 40) -> str:

@@ -17,6 +17,9 @@ from .model import BoundaryCondition, FlockSpec, assemble_line
 
 BLOWUP_GUARD = 1e12
 
+#: RK4 steps taken between the vectorised guard, extremum and storage passes
+_BLOCK_STEPS = 256
+
 #: target spacing of stored trajectory samples, in time units
 STORE_SPACING = 0.1
 
@@ -70,6 +73,19 @@ class TransientReport:
         }
 
 
+def _step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of y' = M y as a matrix: y <- P y.
+
+    P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, by Horner's rule.
+    """
+    h = dt * m
+    eye = np.eye(len(m))
+    p = eye + h / 4.0
+    p = eye + (h / 3.0) @ p
+    p = eye + (h / 2.0) @ p
+    return eye + h @ p
+
+
 def simulate(
     spec: FlockSpec,
     n: int,
@@ -81,6 +97,10 @@ def simulate(
 ) -> Trajectory:
     """Integrate the line system with classical fixed-step RK4.
 
+    The system is linear and time-invariant, so one RK4 step is the
+    precomputed matrix product y <- P y (see :func:`_step_matrix`).  The
+    extremum and the blow-up guard are still taken over every step.
+
     Raises :class:`BlowUp` with the first offending time when the state
     max-norm crosses the overflow guard (the expected outcome for
     genuinely unstable parameter sets).
@@ -90,7 +110,6 @@ def simulate(
     if t_max < dt:
         raise ValueError("t_max must be at least one step")
     system = assemble_line(spec, n, bc)
-    m = system.entries
     n_agents = system.n_agents
 
     y = np.zeros(system.dim)
@@ -113,25 +132,37 @@ def simulate(
     worst = int(np.argmax(np.abs(dev)))
     peak, peak_t, peak_agent = dev[worst], 0.0, worst
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(1, steps + 1):
-        k1 = m @ y
-        k2 = m @ (y + half * k1)
-        k3 = m @ (y + half * k2)
-        k4 = m @ (y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    p = _step_matrix(system.entries, dt)
+    buf = np.empty((_BLOCK_STEPS + 1, system.dim))
+    buf[0] = y
+    done = 0  # step number of buf[0]
+    while done < steps:
+        count = min(_BLOCK_STEPS, steps - done)
+        for i in range(count):
+            np.dot(p, buf[i], out=buf[i + 1])
+        block = buf[1 : count + 1]
 
-        norm = np.abs(y).max()
-        if norm > BLOWUP_GUARD:
-            raise BlowUp(k * dt, norm)
+        # guard first: rows after a crossing may hold inf or nan
+        norms = np.abs(block).max(axis=1)
+        over = np.flatnonzero(norms > BLOWUP_GUARD)
+        if over.size:
+            j = int(over[0])
+            raise BlowUp((done + 1 + j) * dt, norms[j])
 
-        dev = y[:n_agents] - y[0]
-        worst = int(np.argmax(np.abs(dev)))
-        if abs(dev[worst]) > abs(peak):
-            peak, peak_t, peak_agent = dev[worst], k * dt, worst
-        if k % stride == 0:
-            states[k // stride] = y
+        dev = block[:, :n_agents] - block[:, :1]
+        row_max = np.abs(dev).max(axis=1)
+        first = int(np.argmax(row_max))
+        if row_max[first] > abs(peak):
+            worst = int(np.argmax(np.abs(dev[first])))
+            k = done + 1 + first
+            peak, peak_t, peak_agent = dev[first, worst], k * dt, worst
+
+        first_stored = (done // stride + 1) * stride
+        ks = np.arange(first_stored, done + count + 1, stride)
+        states[ks // stride] = buf[ks - done]
+
+        buf[0] = buf[count]
+        done += count
 
     return Trajectory(
         times=times,

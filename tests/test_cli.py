@@ -4,7 +4,7 @@ import pytest
 
 import flockstab as fs
 from flockstab.cli import main
-from flockstab.figures import figure1, figure2, figure3
+from flockstab.figures import figure1, figure2
 
 
 @pytest.fixture

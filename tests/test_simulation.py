@@ -11,6 +11,9 @@ from flockstab import (
     simulate,
     transient,
 )
+from flockstab.figures import figure1, figure3
+from flockstab.model import assemble_line
+from flockstab.simulation import _BLOCK_STEPS, BLOWUP_GUARD, STORE_SPACING
 from conftest import random_diatomic, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -24,6 +27,84 @@ def _unstable_spec():
           "rho_x": {"1": -0.5, "-1": -0.5},
           "rho_v": {"1": -0.5, "-1": -0.5}}] * 3,
     )
+
+
+def _four_stage_reference(spec, n, bc, steps, dt, initial_state=None):
+    """Classical RK4 as four stages per step, checked at every step.
+
+    The oracle for ``simulate``: returns the stored states, peak, peak
+    time and peak agent, or raises BlowUp at the first guard crossing.
+    """
+    m = assemble_line(spec, n, bc).entries
+    n_agents = len(m) // 2
+    if initial_state is None:
+        y = np.zeros(len(m))
+        y[n_agents] = 1.0
+    else:
+        y = np.array(initial_state, dtype=float)
+    stride = max(1, int(np.ceil(STORE_SPACING / dt)))
+    states = [y]
+    dev = y[:n_agents] - y[0]
+    worst = int(np.argmax(np.abs(dev)))
+    peak, peak_t, peak_agent = dev[worst], 0.0, worst
+    for k in range(1, steps + 1):
+        k1 = m @ y
+        k2 = m @ (y + 0.5 * dt * k1)
+        k3 = m @ (y + 0.5 * dt * k2)
+        k4 = m @ (y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        norm = np.abs(y).max()
+        if norm > BLOWUP_GUARD:
+            raise BlowUp(k * dt, norm)
+        dev = y[:n_agents] - y[0]
+        worst = int(np.argmax(np.abs(dev)))
+        if abs(dev[worst]) > abs(peak):
+            peak, peak_t, peak_agent = dev[worst], k * dt, worst
+        if k % stride == 0:
+            states.append(y)
+    return np.array(states), float(peak), peak_t, peak_agent
+
+
+_REFERENCE_SPECS = {
+    "figure1": (figure1, 4),
+    "figure3": (figure3, 6),
+    "random-triatomic": (lambda: random_triatomic(np.random.default_rng(5)), 4),
+    "random-diatomic": (lambda: random_diatomic(np.random.default_rng(6)), 5),
+}
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.007])  # stride 15 does not divide the block
+@pytest.mark.parametrize(
+    "steps",
+    [1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 7],
+)
+@pytest.mark.parametrize("bc", [BC1, BC2])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
+def test_step_matrix_matches_four_stage_reference(name, bc, steps, dt):
+    make, n = _REFERENCE_SPECS[name]
+    spec = make()
+    states, peak, peak_t, peak_agent = _four_stage_reference(spec, n, bc, steps, dt)
+    traj = simulate(spec, n, bc, steps * dt, dt)
+    assert traj.states.shape == states.shape
+    assert np.abs(traj.states - states).max() <= 1e-11 * np.abs(states).max()
+    assert traj.peak_time == peak_t
+    assert traj.peak_agent == peak_agent
+    assert traj.peak_deviation == pytest.approx(peak, rel=1e-11)
+
+
+@pytest.mark.parametrize("kick", [1.0, 5.0])
+def test_blowup_time_matches_four_stage_reference(kick):
+    spec = _unstable_spec()
+    y0 = np.zeros(24)
+    y0[12] = kick
+    with pytest.raises(BlowUp) as ref:
+        _four_stage_reference(spec, 4, BC1, 20000, 0.01, initial_state=y0)
+    with pytest.raises(BlowUp) as err:
+        simulate(spec, 4, BC1, 200.0, 0.01, initial_state=y0)
+    step = int(round(ref.value.time / 0.01))
+    assert step % _BLOCK_STEPS > 1  # the crossing is past its block's first row
+    assert err.value.time == step * 0.01
+    assert err.value.norm == pytest.approx(ref.value.norm, rel=1e-9)
 
 
 def test_initial_condition_and_leader(fig1):
@@ -45,6 +126,9 @@ def test_zero_kick_stays_at_equilibrium(fig1):
     rep = transient(traj)
     assert rep.magnitude == 0.0
     assert rep.converged
+    # every step ties at zero: the first occurrence, t = 0, is kept
+    assert rep.time_at_extremum == 0.0
+    assert rep.agent_at_extremum == 0
 
 
 def test_extremum_is_after_start(fig1):
