@@ -25,6 +25,7 @@ from .errors import (
     DegenerateLeadingCoefficient,
     FlockstabError,
     HypothesisViolated,
+    InvalidTolerance,
     ShapeError,
     SizeError,
     WrongArrangement,

@@ -10,10 +10,11 @@ on which stable parameter choices live.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import WrongArrangement
+from .errors import InvalidTolerance, WrongArrangement
 from .model import Arrangement, FlockSpec, alphas_betas
 
 CONDITION_TOL = 1e-9
@@ -69,6 +70,12 @@ def E_func(a: float, b: float, c: float, d: float) -> float:
     return a * b * (1.0 + c + c * d)
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that would turn a verdict into a wrong answer."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidTolerance(f"tolerance must be finite and non-negative, got {tol}")
+
+
 def necessary_condition_value(spec: FlockSpec) -> float:
     """The scalar whose vanishing is necessary for stability.
 
@@ -89,6 +96,7 @@ def triatomic_conditions(spec: FlockSpec, tol: float = CONDITION_TOL) -> Conditi
     """Evaluate the three instability clauses for the three-type arrangement."""
     if spec.arrangement is not Arrangement.TRIATOMIC_NN:
         raise WrongArrangement("triatomic_conditions needs a triatomic-nn spec")
+    check_tolerance(tol)
     g_x = [a.g_x for a in spec.agents]
     g_v = [a.g_v for a in spec.agents]
     rho_x1 = [a.rho_x[1] for a in spec.agents]
@@ -129,6 +137,7 @@ def diatomic_conditions(spec: FlockSpec, tol: float = CONDITION_TOL) -> Conditio
     """Evaluate the instability clauses for the two-type arrangement."""
     if spec.arrangement is not Arrangement.DIATOMIC_NNN:
         raise WrongArrangement("diatomic_conditions needs a diatomic-nnn spec")
+    check_tolerance(tol)
     ab = alphas_betas(spec)
     g_x = [a.g_x for a in spec.agents]
     g_v = [a.g_v for a in spec.agents]

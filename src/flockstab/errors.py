@@ -32,6 +32,10 @@ class WrongArrangement(FlockstabError):
     """Operation dispatched on a spec of the other arrangement."""
 
 
+class InvalidTolerance(FlockstabError):
+    """A decision tolerance is negative or not finite."""
+
+
 class DegenerateLeadingCoefficient(FlockstabError):
     """Polynomial leading coefficient too small for root extraction."""
 

@@ -53,11 +53,6 @@ class Arrangement(Enum):
             return (-1, 1)
         return (-2, -1, 1, 2)
 
-    @property
-    def degree(self) -> int:
-        """Degree of the per-mode characteristic polynomial."""
-        return 2 * self.n_types
-
 
 class BoundaryCondition(Enum):
     TYPE_I = 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BranchAmbiguity, HypothesisViolated
 from .model import FlockSpec
-from .spectral import a0_derivative_at_zero, char_poly
+from .spectral import mode_polynomial
 
 HYPOTHESIS_TOL = 1e-9
 
@@ -65,13 +65,18 @@ def default_grid() -> np.ndarray:
 
 def mode_coefficients(spec: FlockSpec) -> Callable[[float], np.ndarray]:
     """Coefficient family t -> (a_0..a_d) of the spec's mode polynomial."""
-    return lambda t: char_poly(spec, t).coeffs
+    return mode_polynomial(spec).coeffs
 
 
 def branch_curvature(spec: FlockSpec) -> complex:
-    """c = -a_0'(0) / a_2(0) from the closed forms."""
-    a2 = complex(char_poly(spec, 0.0).coeffs[2])
-    a0p = a0_derivative_at_zero(spec)
+    """c = -a_0'(0) / a_2(0), both read off the spec's Laurent array.
+
+    a_0'(0) = i sum_s s c[0, s] and a_2(0) = sum_s c[2, s].  The closed
+    forms (``a0_derivative_at_zero``, the conditions' ``a2_at_zero``) are
+    kept only as independent checks.
+    """
+    q = mode_polynomial(spec)
+    a2, a0p = q.a2_at_zero, q.a0_slope
     _require_hypotheses(a2, a0p)
     return -a0p / a2
 

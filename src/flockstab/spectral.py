@@ -4,15 +4,19 @@ On the circle the coupling blocks are circulant, so the system decomposes
 into independent Fourier modes phi_m = 2*pi*m/n.  In mode phi the model's
 stencil (see :mod:`flockstab.model`) reduces to a t x t matrix whose
 (a, b) entry is the quadratic Lx + nu*Lv - nu^2*[a == b] in the eigenvalue
-variable nu: Lx and Lv sum g * rho[j] * exp(i*phi*s) over the offsets j
-that take type a to type b while shifting the cell by s.  Its determinant
-is the mode polynomial Q(nu, phi), of degree 2t: six for three agent
-types, four for two.  Linear stability means the only eigenvalue on the
-closed right half-plane is the double zero at phi = 0 (the rigid
-in-formation motion) with a one-dimensional eigenspace.
+variable nu: Lx and Lv sum g * rho[j] * z^s, z = exp(i*phi), over the
+offsets j that take type a to type b while shifting the cell by s.  Its
+determinant is the mode polynomial Q(nu, phi), of degree 2t: six for three
+agent types, four for two.  Every weight is real, so Q is a polynomial in
+nu and z^-1, z with one small real Laurent array C[k, s] per spec (7 x 7
+for three types, 5 x 5 for two), built once: every mode's coefficients and
+the phi-jet at phi = 0 are read off it.  Linear stability means the only
+eigenvalue on the closed right half-plane is the double zero at phi = 0
+(the rigid in-formation motion) with a one-dimensional eigenspace.
 
 Every weight row sums to -1, so at phi = 0 both Lx and Lv annihilate the
-all-ones vector and nu^2 divides Q(nu, 0).  The Jordan chain from the
+all-ones vector and nu^2 divides Q(nu, 0); a_0 and a_1 are summed over
+z^s - 1, which makes that double zero exact.  The Jordan chain from the
 all-ones vector already accounts for those two roots, and every further
 kernel vector of Lx(0) adds at least one more, so a mode-0 zero root of
 multiplicity exactly two certifies a one-dimensional eigenspace.
@@ -21,21 +25,20 @@ multiplicity exactly two certifies a one-dimensional eigenspace.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .conditions import D_func
+from .conditions import D_func, check_tolerance
 from .errors import DegenerateLeadingCoefficient, SizeError
 from .model import Arrangement, FlockSpec, alphas_betas
 
 CLASSIFY_TOL = 1e-9
 
 _ZERO_EIGENVALUE_SCALE = 1e-8
-
-_RESIDUAL_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,6 @@ class CharPoly:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
         self.coeffs.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, nu: complex) -> complex:
         return complex(npp.polyval(nu, self.coeffs))
@@ -102,102 +101,84 @@ class StabilityVerdict:
         }
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing zero coefficients (keeping one), as numpy.polynomial does."""
-    end = len(c)
-    while end > 1 and c[end - 1] == 0:
-        end -= 1
-    return c[:end]
+class ModePolynomial:
+    """Q(nu, phi) = sum_k nu^k sum_s c[k, s] z^s with z = e^{i phi}.
 
-
-@functools.lru_cache(maxsize=None)
-def _bloch_terms(t: int, a: int, offsets: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(offset j, cell shift s, target type b) of type a's stencil terms.
-
-    a + j = t*s + b.  The terms come in the order each mode-matrix entry
-    sums them: s = 0, +1, -1, +2, ...
+    ``c`` is real, because every stencil weight is; its columns hold the
+    z powers s = -S..S (``shifts``).
     """
-    terms = [(j, *divmod(a + j, t)) for j in (0, *offsets)]
-    return tuple(sorted(terms, key=lambda term: (abs(term[1]), term[1] < 0)))
+
+    def __init__(self, c: np.ndarray):
+        c.setflags(write=False)
+        self.c = c
+        self.shifts = np.arange(c.shape[1]) - c.shape[1] // 2
+
+    def coeffs(self, phi: float) -> np.ndarray:
+        """a_0..a_d of the mode at angle phi.
+
+        Every weight row sums to -1, so a_0 and a_1 vanish at phi = 0; they
+        are summed against z^s - 1 = 2i sin(s phi/2) e^{i s phi/2}, exactly
+        zero at phi = 0 (whatever roundoff the row sums carry) and without
+        the cancellation that z^s leaves as phi -> 0.
+        """
+        half = 0.5 * phi * self.shifts
+        out = self.c @ np.exp(2j * half)
+        out[:2] = self.c[:2] @ (2j * np.sin(half) * np.exp(1j * half))
+        return out
+
+    @property
+    def a0_slope(self) -> complex:
+        """d a_0 / d phi at phi = 0: i sum_s s c[0, s]."""
+        return 1j * float(self.c[0] @ self.shifts)
+
+    @property
+    def a2_at_zero(self) -> float:
+        """a_2 at phi = 0: sum_s c[2, s]."""
+        return float(self.c[2].sum())
 
 
-def _mode_matrix(spec: FlockSpec, phi: float) -> list[list[np.ndarray]]:
-    """Mode-phi matrix of quadratics in nu, one row and column per agent type.
+def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
+    """The spec's mode polynomial, by exact polynomial arithmetic on the stencil.
 
-    Entry (a, b) is [Lx, Lv, -1 if a == b]: each stencil term of type a
-    that reaches type b in the cell shifted by s adds
-    g * rho[j] * exp(i*phi*s) to Lx (position gain and weights) and Lv
-    (velocity ones).
+    Mode-matrix entry (a, b) is a polynomial in nu and z: each stencil
+    term of type a that reaches type b in the cell shifted by s adds
+    g * rho[j] z^s to its nu^0 (position) and nu^1 (velocity) coefficient,
+    and the diagonal carries -nu^2.  Q is the determinant, summed over the
+    t! permutations.  Substituting nu = x^w and z = x, with w wider than
+    the z range of any product, makes each product one convolution in x.
     """
     t = spec.n_types
-    phases = {0: 1.0}
-    rows = []
-    for a, agent in enumerate(spec.agents):
-        lx, lv = [None] * t, [None] * t
-        for j, s, b in _bloch_terms(t, a, tuple(agent.rho_x)):
-            if s not in phases:
-                phases[s] = np.exp(1j * s * phi)
-            if j:
-                x = agent.g_x * agent.rho_x[j] * phases[s]
-                v = agent.g_v * agent.rho_v[j] * phases[s]
-            else:
-                x, v = agent.g_x, agent.g_v
-            lx[b] = x if lx[b] is None else lx[b] + x
-            lv[b] = v if lv[b] is None else lv[b] + v
-        row = []
-        for b in range(t):
-            poly = [0.0] if lx[b] is None else [lx[b], lv[b], -1.0 if b == a else 0.0]
-            row.append(_trim(np.array(poly, dtype=complex)))
-        rows.append(row)
-    return rows
-
-
-def _det(m: list[list[np.ndarray]]) -> np.ndarray:
-    """Determinant of a matrix of polynomials by first-row cofactor expansion.
-
-    Each product, sum and trim is the one numpy.polynomial's polymul,
-    polyadd and polysub would make, without their per-call overhead.
-    """
-    if len(m) == 1:
-        return m[0][0]
-    det = None
-    for c, entry in enumerate(m[0]):
-        term = _trim(np.convolve(entry, _det([row[:c] + row[c + 1:] for row in m[1:]])))
-        if det is None:
-            det = term
-            continue
-        if c % 2:
-            term = -term
-        longer, shorter = (det, term) if len(det) > len(term) else (term, det)
-        det = longer.copy()
-        det[: len(shorter)] += shorter
-        det = _trim(det)
-    return det
+    # (offset j, cell shift s, target type b) of each stencil term: a + j = t*s + b
+    terms = [[(j, *divmod(a + j, t)) for j in (0, *agent.rho_x)]
+             for a, agent in enumerate(spec.agents)]
+    reach = max(abs(s) for row in terms for _, s, _ in row)
+    w = 2 * t * reach + 1
+    m = np.zeros((t, t, 3, w))  # [a, b, nu power, z power + reach]
+    for a, (agent, row) in enumerate(zip(spec.agents, terms)):
+        m[a, a, 2, reach] = -1.0
+        for j, s, b in row:
+            m[a, b, 0, reach + s] += agent.g_x * agent.rho_x[j] if j else agent.g_x
+            m[a, b, 1, reach + s] += agent.g_v * agent.rho_v[j] if j else agent.g_v
+    c = np.zeros((2 * t + 1) * w)
+    for perm in itertools.permutations(range(t)):
+        term = functools.reduce(np.convolve, [m[a, b].ravel() for a, b in enumerate(perm)])
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        c += (-1) ** inversions * term[: len(c)]
+    return ModePolynomial(c.reshape(2 * t + 1, w))
 
 
 def char_poly(spec: FlockSpec, phi: float) -> CharPoly:
     """Characteristic polynomial of the mode at angle phi.
 
-    The coefficients come from expanding the determinant of the small
-    matrix whose entries are degree <= 2 polynomials in the eigenvalue
-    variable; no root finding is involved.  At phi = 0 the row-sum
-    constraint makes nu^2 an exact factor, so a_0 and a_1 are set to zero
-    rather than left at roundoff (whose square root would otherwise move
-    the double zero off the origin by ~1e-8).
+    One mode of :func:`mode_polynomial`: no root finding is involved, and
+    at phi = 0 the coefficients a_0 and a_1 are exact zeros, so the
+    rigid-motion double zero comes out as two exact zero roots.
     """
-    det = _det(_mode_matrix(spec, phi))
-    coeffs = np.zeros(2 * spec.n_types + 1, dtype=complex)
-    coeffs[: len(det)] = det
-    if phi == 0.0:
-        coeffs[:2] = 0.0
-    return CharPoly(phi=phi, coeffs=coeffs)
+    return CharPoly(phi=phi, coeffs=mode_polynomial(spec).coeffs(phi))
 
 
 def _lambda_mu(agent, which: str, type_index: int, phi: float) -> tuple[complex, complex]:
-    """Cross-type (lambda) and same-type (mu) symbols of a two-type agent.
-
-    Only the ``a0_*`` closed forms use these; ``char_poly`` reads the stencil.
-    """
+    """Cross-type (lambda) and same-type (mu) symbols of a two-type agent."""
     rho = agent.rho_x if which == "x" else agent.rho_v
     em, ep = np.exp(-1j * phi), np.exp(1j * phi)
     if type_index == 0:
@@ -263,7 +244,9 @@ def spectrum_periodic(spec: FlockSpec, n: int) -> list[ModeSpectrum]:
     """Spectra of all n Fourier modes of the circle system."""
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
-    return [mode_roots(char_poly(spec, 2.0 * np.pi * m / n)) for m in range(n)]
+    q = mode_polynomial(spec)
+    phis = [2.0 * np.pi * m / n for m in range(n)]
+    return [mode_roots(CharPoly(phi, q.coeffs(phi))) for phi in phis]
 
 
 def classify(spectra: list[ModeSpectrum], tol: float = CLASSIFY_TOL) -> StabilityVerdict:
@@ -278,8 +261,10 @@ def classify(spectra: list[ModeSpectrum], tol: float = CLASSIFY_TOL) -> Stabilit
 
     Modes m and n - m are complex conjugates, so the largest real part
     and its witness are taken over modes m <= n/2 only; otherwise
-    roundoff would pick between the two.
+    roundoff would pick between the two.  A negative or non-finite tol
+    raises :class:`InvalidTolerance`.
     """
+    check_tolerance(tol)
     n = len(spectra)
     zero_total = 0
     zeros_at_mode0 = 0

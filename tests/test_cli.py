@@ -59,6 +59,26 @@ def test_malformed_spec_is_an_input_error(tmp_path, capsys, agents_patch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--tol=-1e-3"],
+        ["check", "--tol=nan"],
+        ["check", "--tol=inf"],
+        ["spectrum", "--n", "12", "--tol=-1e-3"],
+        ["spectrum", "--n", "12", "--tol=nan"],
+        ["spectrum", "--n", "12", "--tol=inf"],
+    ],
+    ids=["check-negative", "check-nan", "check-inf",
+         "spectrum-negative", "spectrum-nan", "spectrum-inf"],
+)
+def test_bad_tolerance_is_an_input_error(tmp_path, fig1_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--spec", str(fig1_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "verdict.json").exists()
+
+
 def test_check_writes_report(tmp_path, fig1_path):
     out = tmp_path / "out"
     assert main(["check", "--spec", str(fig1_path), "--out", str(out)]) == 0

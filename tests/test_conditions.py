@@ -7,6 +7,7 @@ from flockstab import (
     Arrangement,
     D_func,
     E_func,
+    InvalidTolerance,
     Overall,
     Stability,
     WrongArrangement,
@@ -179,6 +180,18 @@ def test_necessary_condition_values(fig1, fig2, fig3):
     assert abs(necessary_condition_value(fig1)) < 1e-9
     assert necessary_condition_value(fig2) == pytest.approx(0.096, abs=1e-9)
     assert abs(necessary_condition_value(fig3)) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf"), float("-inf")])
+def test_conditions_reject_bad_tolerance(tol, fig1, fig3):
+    for check, spec in ((conditions, fig1), (conditions, fig3),
+                        (triatomic_conditions, fig1), (diatomic_conditions, fig3)):
+        with pytest.raises(InvalidTolerance):
+            check(spec, tol)
+
+
+def test_conditions_accept_zero_tolerance(fig2):
+    assert conditions(fig2, 0.0).overall is Overall.INSTABILITY_CERTIFIED
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
