@@ -52,12 +52,10 @@ from .rootcurves import (
     TangencyReport,
     branch_curvature,
     branch_ratios,
-    mode_coefficients,
     orthogonality_angle,
     predicted_branch,
     right_angle_deviation,
     small_root_counts,
-    tangency_ratio,
     tangency_report,
     track_branches,
     track_polynomial_branches,
@@ -72,14 +70,15 @@ from .simulation import (
     transient,
 )
 from .spectral import (
-    CharPoly,
-    ModeSpectrum,
+    ModePolynomial,
+    Spectrum,
     Stability,
     StabilityVerdict,
     a0_constant_term,
     a0_derivative_at_zero,
     char_poly,
     classify,
+    mode_polynomial,
     mode_roots,
     spectrum_periodic,
 )

@@ -47,10 +47,6 @@ def _target(out: Path, name: str, force: bool) -> Path:
     return path
 
 
-def _parse_bc(value: int) -> BoundaryCondition:
-    return BoundaryCondition(value)
-
-
 def cmd_check(args) -> int:
     spec = load_spec(args.spec)
     report = conditions(spec, tol=args.tol)
@@ -64,10 +60,10 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = load_spec(args.spec)
-    spectra = spectrum_periodic(spec, args.n)
-    verdict = classify(spectra, tol=args.tol)
+    spectrum = spectrum_periodic(spec, args.n)
+    verdict = classify(spectrum, tol=args.tol)
     out = _out_dir(args)
-    reports.write_spectrum_csv(_target(out, "spectrum.csv", args.force), spectra)
+    reports.write_spectrum_csv(_target(out, "spectrum.csv", args.force), spectrum)
     reports.write_json(_target(out, "verdict.json", args.force), verdict.to_dict())
     print(f"{verdict.status.value}: max Re = {verdict.max_real_part:.6g}, "
           f"zero multiplicity {verdict.zero_multiplicity}")
@@ -82,7 +78,7 @@ def cmd_simulate(args) -> int:
     json_path = _target(out, "transient.json", args.force)
     svg_path = _target(out, "trajectory.svg", args.force)
     try:
-        traj = simulate(spec, args.n, _parse_bc(args.bc), t_max, args.dt)
+        traj = simulate(spec, args.n, BoundaryCondition(args.bc), t_max, args.dt)
     except BlowUp as blow:
         reports.write_json(json_path, {"blew_up": True, "time": blow.time,
                                        "norm": blow.norm})
@@ -100,7 +96,7 @@ def cmd_simulate(args) -> int:
 def cmd_scan(args) -> int:
     spec = load_spec(args.spec)
     n_values = [int(v) for v in args.N_list.split(",") if v.strip()]
-    result = scan_N(spec, _parse_bc(args.bc), n_values, dt=args.dt, t_max=args.tmax)
+    result = scan_N(spec, BoundaryCondition(args.bc), n_values, dt=args.dt, t_max=args.tmax)
     out = _out_dir(args)
     reports.write_scan_csv(_target(out, "scan.csv", args.force), result)
     reports.write_json(_target(out, "scan.json", args.force), result.to_dict())

@@ -19,6 +19,9 @@ from .model import Arrangement, FlockSpec, alphas_betas
 
 CONDITION_TOL = 1e-9
 
+#: ulps of its summed magnitudes within which the clause iii moment is roundoff
+_MOMENT_ULPS = 8
+
 
 class Overall(Enum):
     NECESSARY_CONDITIONS_HOLD = "necessary-conditions-hold"
@@ -42,9 +45,6 @@ class ConditionReport:
     @property
     def verdicts(self) -> dict:
         return {c.id: c.triggered for c in self.clauses}
-
-    def value(self, clause_id: str) -> float:
-        return next(c.value for c in self.clauses if c.id == clause_id)
 
     def to_dict(self) -> dict:
         return {
@@ -84,12 +84,28 @@ def necessary_condition_value(spec: FlockSpec) -> float:
     Reported without the gain-product prefactor.
     """
     ab = alphas_betas(spec)
-    if spec.arrangement is Arrangement.TRIATOMIC_NN:
-        betas = [b[1] for b in ab.beta_x]
-        return betas[0] + betas[1] + betas[2] + betas[0] * betas[1] * betas[2]
-    a1, a2 = (a[1] for a in ab.alpha_x)
-    b1, b2 = ab.beta_x
+    return _moment(spec.arrangement, ab.alpha_x, ab.beta_x)
+
+
+def _moment(arrangement: Arrangement, alpha_x, beta_x) -> float:
+    if arrangement is Arrangement.TRIATOMIC_NN:
+        b0, b1, b2 = (b[1] for b in beta_x)
+        return b0 + b1 + b2 + b0 * b1 * b2
+    (a1, a2), (b1, b2) = (a[1] for a in alpha_x), beta_x
     return a2 * (b1[1] + 2.0 * b1[2]) + a1 * (b2[1] + 2.0 * b2[2])
+
+
+def _moment_triggers(spec: FlockSpec, g_product: float, mpc: float, tol: float) -> bool:
+    """Clause iii: |g_product * moment| beyond both tol and roundoff.
+
+    The moment over |rho[j]| + |rho[-j]| in place of each alpha and beta
+    bounds the magnitudes it sums; a few ulps of that (a running-error
+    bound) cover all that roundoff leaves of a vanishing moment.
+    """
+    sizes = [{j: abs(w) + abs(a.rho_x[-j]) for j, w in a.rho_x.items() if j > 0}
+             for a in spec.agents]
+    bound = abs(g_product) * _moment(spec.arrangement, sizes, sizes)
+    return abs(g_product * mpc) > max(tol, _MOMENT_ULPS * math.ulp(bound))
 
 
 def triatomic_conditions(spec: FlockSpec, tol: float = CONDITION_TOL) -> ConditionReport:
@@ -119,7 +135,7 @@ def triatomic_conditions(spec: FlockSpec, tol: float = CONDITION_TOL) -> Conditi
                         note="triggers when a positional gain vanishes"),
         ConditionClause("ii", e_sum, abs(e_sum) <= tol,
                         note="vanishing pair sum forces a triple zero eigenvalue"),
-        ConditionClause("iii", mpc, abs(g_product * mpc) > tol,
+        ConditionClause("iii", mpc, _moment_triggers(spec, g_product, mpc, tol),
                         note="first moment of weight asymmetries plus their product"),
     )
     case_values = {
@@ -159,7 +175,7 @@ def diatomic_conditions(spec: FlockSpec, tol: float = CONDITION_TOL) -> Conditio
                         note="gain-weighted first-offset alphas, positions"),
         ConditionClause("ii-v", sum_v, sum_v <= tol,
                         note="gain-weighted first-offset alphas, velocities"),
-        ConditionClause("iii", mpc, abs(g_product * mpc) > tol,
+        ConditionClause("iii", mpc, _moment_triggers(spec, g_product, mpc, tol),
                         note="cross-weighted asymmetry moment over both offsets"),
     )
     case_values = {

@@ -14,7 +14,7 @@ import numpy as np
 
 from .rootcurves import RootCurve, branch_ratios, predicted_branch
 from .simulation import ScanResult, Trajectory
-from .spectral import ModeSpectrum
+from .spectral import Spectrum
 from .svg import Series, render_plot
 
 FLOAT_FMT = ".17g"
@@ -59,12 +59,15 @@ def write_json(path, obj) -> None:
 
 # --- spectra -----------------------------------------------------------------
 
-def write_spectrum_csv(path, spectra: list[ModeSpectrum]) -> None:
-    rows = []
-    for m, ms in enumerate(spectra):
-        for nu, res in zip(ms.eigenvalues, ms.residuals):
-            rows.append((m, ms.phi, nu.real, nu.imag, res))
-    write_csv(path, ("m", "phi", "re", "im", "residual"), rows)
+def write_spectrum_csv(path, spectrum: Spectrum) -> None:
+    n, d = spectrum.eigenvalues.shape
+    roots = spectrum.eigenvalues.ravel()
+    rows = zip(np.repeat(np.arange(n), d).tolist(),
+               np.repeat(spectrum.phis, d).tolist(), roots.real.tolist(),
+               roots.imag.tolist(), spectrum.residuals.ravel().tolist())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("m,phi,re,im,residual\n")
+        fh.writelines("%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
 
 
 # --- trajectories ------------------------------------------------------------

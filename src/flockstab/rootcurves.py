@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BranchAmbiguity, HypothesisViolated
 from .model import FlockSpec
-from .spectral import mode_polynomial
+from .spectral import mode_polynomial, mode_roots
 
 HYPOTHESIS_TOL = 1e-9
 
@@ -63,11 +63,6 @@ def default_grid() -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def mode_coefficients(spec: FlockSpec) -> Callable[[float], np.ndarray]:
-    """Coefficient family t -> (a_0..a_d) of the spec's mode polynomial."""
-    return mode_polynomial(spec).coeffs
-
-
 def branch_curvature(spec: FlockSpec) -> complex:
     """c = -a_0'(0) / a_2(0), both read off the spec's Laurent array.
 
@@ -94,7 +89,7 @@ def track_branches(
     """Track the two small roots of the spec's mode polynomial."""
     c = branch_curvature(spec)
     grid = default_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    return _track(mode_coefficients(spec), grid, c)
+    return _track(mode_polynomial(spec).coeffs, grid, c)
 
 
 def track_polynomial_branches(
@@ -122,6 +117,12 @@ def track_polynomial_branches(
     return _track(coeff_fn, grid, c)
 
 
+def _roots_on_grid(coeff_fn, grid: np.ndarray) -> np.ndarray:
+    """Every root of the family at each grid angle, one row per angle."""
+    coeffs = np.array([np.asarray(coeff_fn(t), dtype=complex) for t in grid])
+    return mode_roots(grid, coeffs).eigenvalues
+
+
 def _track(coeff_fn, grid: np.ndarray, c: complex) -> tuple[RootCurve, RootCurve]:
     if len(grid) == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing and positive")
@@ -129,24 +130,19 @@ def _track(coeff_fn, grid: np.ndarray, c: complex) -> tuple[RootCurve, RootCurve
     descending = grid[::-1]
     plus = np.empty(len(grid), dtype=complex)
     minus = np.empty(len(grid), dtype=complex)
-
-    def roots_at(t: float) -> np.ndarray:
-        return np.roots(np.asarray(coeff_fn(t), dtype=complex)[::-1])
+    all_roots = _roots_on_grid(coeff_fn, descending)
 
     # seed at the coarsest angle by proximity to the predicted branches
-    roots = roots_at(descending[0])
+    roots = all_roots[0]
     predicted = np.sqrt(c * descending[0])
     i_plus = int(np.argmin(np.abs(roots - predicted)))
     rest = np.delete(np.arange(len(roots)), i_plus)
     i_minus = rest[int(np.argmin(np.abs(roots[rest] + predicted)))]
     if abs(roots[i_plus] - roots[i_minus]) < 1e-12 * (1.0 + abs(predicted)):
-        raise BranchAmbiguity(
-            f"seed roots coincide at t={descending[0]:.3e}"
-        )
+        raise BranchAmbiguity(f"seed roots coincide at t={descending[0]:.3e}")
     plus[0], minus[0] = roots[i_plus], roots[i_minus]
 
-    for k, t in enumerate(descending[1:], start=1):
-        roots = roots_at(t)
+    for k, (t, roots) in enumerate(zip(descending[1:], all_roots[1:]), start=1):
         i_plus = int(np.argmin(np.abs(roots - plus[k - 1])))
         i_minus = int(np.argmin(np.abs(roots - minus[k - 1])))
         if i_plus == i_minus:
@@ -192,11 +188,6 @@ def tangency_report(curve: RootCurve, c: complex) -> TangencyReport:
     )
 
 
-def tangency_ratio(curve: RootCurve, c: complex) -> float:
-    """Sup of the relative branch distance over the finest grid decade."""
-    return tangency_report(curve, c).final_ratio
-
-
 def orthogonality_angle(plus: RootCurve, minus: RootCurve) -> float:
     """Angle in degrees between the two branches' limiting secant directions.
 
@@ -222,8 +213,4 @@ def small_root_counts(
     """Number of roots inside the disk |z| < 2 sqrt|c t_max|, per grid angle."""
     grid = np.asarray(t_grid, dtype=float)
     radius = 2.0 * np.sqrt(abs(c) * grid.max())
-    counts = np.empty(len(grid), dtype=int)
-    for k, t in enumerate(grid):
-        roots = np.roots(np.asarray(coeff_fn(t), dtype=complex)[::-1])
-        counts[k] = int(np.sum(np.abs(roots) < radius))
-    return counts
+    return np.sum(np.abs(_roots_on_grid(coeff_fn, grid)) < radius, axis=1)

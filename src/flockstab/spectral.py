@@ -1,4 +1,4 @@
-"""Per-mode characteristic polynomials, spectra, and stability classification.
+"""Mode polynomials, the circle spectrum, and stability classification.
 
 On the circle the coupling blocks are circulant, so the system decomposes
 into independent Fourier modes phi_m = 2*pi*m/n.  In mode phi the model's
@@ -6,20 +6,21 @@ stencil (see :mod:`flockstab.model`) reduces to a t x t matrix whose
 (a, b) entry is the quadratic Lx + nu*Lv - nu^2*[a == b] in the eigenvalue
 variable nu: Lx and Lv sum g * rho[j] * z^s, z = exp(i*phi), over the
 offsets j that take type a to type b while shifting the cell by s.  Its
-determinant is the mode polynomial Q(nu, phi), of degree 2t: six for three
-agent types, four for two.  Every weight is real, so Q is a polynomial in
-nu and z^-1, z with one small real Laurent array C[k, s] per spec (7 x 7
-for three types, 5 x 5 for two), built once: every mode's coefficients and
-the phi-jet at phi = 0 are read off it.  Linear stability means the only
-eigenvalue on the closed right half-plane is the double zero at phi = 0
-(the rigid in-formation motion) with a one-dimensional eigenspace.
+determinant is the mode polynomial Q(nu, phi) of degree d = 2t.  Every
+weight is real, so Q has one small real Laurent array C[k, s] in nu and z
+per spec, built once; the coefficients of any array of modes and the
+phi-jet at phi = 0 are read off it.  The spectrum is one array-backed
+:class:`Spectrum`, row m for mode phis[m], and :func:`mode_roots`, the
+only root finder, fills it from a stack of companion matrices.
 
-Every weight row sums to -1, so at phi = 0 both Lx and Lv annihilate the
-all-ones vector and nu^2 divides Q(nu, 0); a_0 and a_1 are summed over
-z^s - 1, which makes that double zero exact.  The Jordan chain from the
-all-ones vector already accounts for those two roots, and every further
-kernel vector of Lx(0) adds at least one more, so a mode-0 zero root of
-multiplicity exactly two certifies a one-dimensional eigenspace.
+Linear stability means the only eigenvalue on the closed right half-plane
+is the double zero at phi = 0 (the rigid in-formation motion) with a
+one-dimensional eigenspace.  Every weight row sums to -1, so nu^2 divides
+Q(nu, 0), and a_0 and a_1 are summed over z^s - 1, which makes that double
+zero exact.  The Jordan chain from the all-ones vector accounts for those
+two roots and every further kernel vector of Lx(0) adds at least one
+more, so a mode-0 zero root of multiplicity exactly two certifies a
+one-dimensional eigenspace.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .conditions import D_func, check_tolerance
 from .errors import DegenerateLeadingCoefficient, SizeError
@@ -42,35 +42,26 @@ _ZERO_EIGENVALUE_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
-class CharPoly:
-    """Coefficients a_0..a_d of one mode's characteristic polynomial."""
+class Spectrum:
+    """Roots of many modes: row m holds every root of the mode at phis[m].
 
-    phi: float
-    coeffs: np.ndarray
+    ``eigenvalues`` and ``residuals`` are (n, d), each row sorted by
+    descending real part, then descending imaginary part; ``coeff_scale``
+    is each row's largest coefficient magnitude.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        self.coeffs.setflags(write=False)
-
-    def __call__(self, nu: complex) -> complex:
-        return complex(npp.polyval(nu, self.coeffs))
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """All roots of one mode, sorted by descending real part."""
-
-    phi: float
+    phis: np.ndarray
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    coeff_scale: float
+    coeff_scale: np.ndarray
 
     def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.residuals.setflags(write=False)
+        for array in (self.phis, self.eigenvalues, self.residuals, self.coeff_scale):
+            array.setflags(write=False)
 
-    def zero_threshold(self) -> float:
-        d = len(self.eigenvalues)
+    def zero_threshold(self) -> np.ndarray:
+        """Per row, the modulus below which a root counts as zero."""
+        d = self.eigenvalues.shape[1]
         return _ZERO_EIGENVALUE_SCALE * (1.0 + self.coeff_scale ** (1.0 / d))
 
 
@@ -113,17 +104,20 @@ class ModePolynomial:
         self.c = c
         self.shifts = np.arange(c.shape[1]) - c.shape[1] // 2
 
-    def coeffs(self, phi: float) -> np.ndarray:
-        """a_0..a_d of the mode at angle phi.
+    def coeffs(self, phi) -> np.ndarray:
+        """a_0..a_d of the mode at angle phi, along the last axis.
 
-        Every weight row sums to -1, so a_0 and a_1 vanish at phi = 0; they
-        are summed against z^s - 1 = 2i sin(s phi/2) e^{i s phi/2}, exactly
-        zero at phi = 0 (whatever roundoff the row sums carry) and without
-        the cancellation that z^s leaves as phi -> 0.
+        phi may be a scalar or an array of angles; each row of the result
+        is bit-equal to the scalar call at its angle.  Every weight row
+        sums to -1, so a_0 and a_1 vanish at phi = 0; they are summed
+        against z^s - 1 = 2i sin(s phi/2) e^{i s phi/2}, exactly zero at
+        phi = 0 (whatever roundoff the row sums carry) and without the
+        cancellation that z^s leaves as phi -> 0.
         """
-        half = 0.5 * phi * self.shifts
-        out = self.c @ np.exp(2j * half)
-        out[:2] = self.c[:2] @ (2j * np.sin(half) * np.exp(1j * half))
+        half = 0.5 * np.asarray(phi, dtype=float)[..., None] * self.shifts
+        out = np.matmul(self.c, np.exp(2j * half)[..., None])[..., 0]
+        rigid = 2j * np.sin(half) * np.exp(1j * half)
+        out[..., :2] = np.matmul(self.c[:2], rigid[..., None])[..., 0]
         return out
 
     @property
@@ -167,19 +161,19 @@ def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
     return ModePolynomial(c.reshape(2 * t + 1, w))
 
 
-def char_poly(spec: FlockSpec, phi: float) -> CharPoly:
-    """Characteristic polynomial of the mode at angle phi.
+def char_poly(spec: FlockSpec, phi) -> np.ndarray:
+    """Coefficients a_0..a_d of the mode polynomial at angle phi.
 
-    One mode of :func:`mode_polynomial`: no root finding is involved, and
-    at phi = 0 the coefficients a_0 and a_1 are exact zeros, so the
-    rigid-motion double zero comes out as two exact zero roots.
+    One evaluation of :func:`mode_polynomial`, exact zeros a_0 and a_1 at
+    phi = 0 included.  For an array of angles the Laurent array is built
+    once, and each row is bit-equal to the scalar call at its angle.
     """
-    return CharPoly(phi=phi, coeffs=mode_polynomial(spec).coeffs(phi))
+    return mode_polynomial(spec).coeffs(phi)
 
 
-def _lambda_mu(agent, which: str, type_index: int, phi: float) -> tuple[complex, complex]:
-    """Cross-type (lambda) and same-type (mu) symbols of a two-type agent."""
-    rho = agent.rho_x if which == "x" else agent.rho_v
+def _lambda_mu(agent, type_index: int, phi: float) -> tuple[complex, complex]:
+    """Cross-type (lambda) and same-type (mu) position symbols of a two-type agent."""
+    rho = agent.rho_x
     em, ep = np.exp(-1j * phi), np.exp(1j * phi)
     if type_index == 0:
         lam = rho[1] + rho[-1] * em
@@ -192,15 +186,15 @@ def _lambda_mu(agent, which: str, type_index: int, phi: float) -> tuple[complex,
 def a0_constant_term(spec: FlockSpec, phi: float) -> complex:
     """Constant coefficient of Q(nu, phi) from its closed form.
 
-    An independent derivation of ``char_poly(spec, phi).coeffs[0]``; the
+    An independent derivation of ``char_poly(spec, phi)[0]``; the
     two must agree to roundoff, which the test suite cross-checks.
     """
     if spec.arrangement is Arrangement.TRIATOMIC_NN:
         g = spec.agents[0].g_x * spec.agents[1].g_x * spec.agents[2].g_x
         return g * D_func(*(a.rho_x[1] for a in spec.agents), phi)
     a1, a2 = spec.agents
-    lx1, mx1 = _lambda_mu(a1, "x", 0, phi)
-    lx2, mx2 = _lambda_mu(a2, "x", 1, phi)
+    lx1, mx1 = _lambda_mu(a1, 0, phi)
+    lx2, mx2 = _lambda_mu(a2, 1, phi)
     return a1.g_x * a2.g_x * (mx1 * mx2 - lx1 * lx2)
 
 
@@ -212,8 +206,8 @@ def a0_derivative_at_zero(spec: FlockSpec) -> complex:
         return g * 1j * (a * b * c + (1 + a) * (1 + b) * (1 + c))
     a1, a2 = spec.agents
     ab = alphas_betas(spec)
-    lam1, mu1 = _lambda_mu(a1, "x", 0, 0.0)
-    lam2, mu2 = _lambda_mu(a2, "x", 1, 0.0)
+    lam1, mu1 = _lambda_mu(a1, 0, 0.0)
+    lam2, mu2 = _lambda_mu(a2, 1, 0.0)
     dlam1 = -1j * a1.rho_x[-1]
     dlam2 = 1j * a2.rho_x[1]
     dmu1 = 1j * ab.beta_x[0][2]
@@ -223,34 +217,51 @@ def a0_derivative_at_zero(spec: FlockSpec) -> complex:
     )
 
 
-def mode_roots(cp: CharPoly) -> ModeSpectrum:
-    """Roots of one mode polynomial via the balanced companion matrix."""
-    coeffs = cp.coeffs
-    scale = float(np.abs(coeffs).max())
-    if abs(coeffs[-1]) <= 1e-12 * max(scale, 1.0):
+def mode_roots(phis, coeffs) -> Spectrum:
+    """All roots of the polynomial a_0..a_d in each row of ``coeffs``, at phis.
+
+    Each row gets what ``numpy.roots`` does, bit for bit, batched: k exact
+    zero low coefficients give k exact zero roots, the rest are the
+    eigenvalues of the degree-(d - k) companion matrix, backward-stable
+    roots (Edelman & Murakami).  A scalar angle with one coefficient
+    vector gives a one-row spectrum.
+    """
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
+    scale = np.abs(coeffs).max(axis=1)
+    bad = np.abs(coeffs[:, -1]) <= 1e-12 * np.maximum(scale, 1.0)
+    if bad.any():
+        m = int(np.argmax(bad))
         raise DegenerateLeadingCoefficient(
-            f"leading coefficient {coeffs[-1]} too small at phi={cp.phi}"
-        )
-    roots = np.roots(coeffs[::-1])
-    order = np.lexsort((-roots.imag, -roots.real))
-    roots = roots[order]
-    residuals = np.abs(npp.polyval(roots, coeffs))
-    return ModeSpectrum(
-        phi=cp.phi, eigenvalues=roots, residuals=residuals, coeff_scale=scale
-    )
+            f"leading coefficient {coeffs[m, -1]} too small at phi={phis[m]}")
+    d = coeffs.shape[1] - 1
+    roots = np.zeros((len(coeffs), d), dtype=complex)
+    low_zeros = np.argmax(coeffs != 0, axis=1)
+    for k in set(low_zeros.tolist()) - {d}:  # k = d: a_d nu^d, only zeros
+        rows = low_zeros == k
+        p = coeffs[rows, k:][:, ::-1]
+        companion = np.zeros((len(p), d - k, d - k), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(d - k - 1)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots[rows, : d - k] = np.linalg.eigvals(companion)
+    order = np.lexsort((-roots.imag, -roots.real), axis=-1)
+    roots = np.take_along_axis(roots, order, axis=-1)
+    value = coeffs[:, -1:] + roots * 0  # Horner's rule, in numpy polyval's order
+    for i in range(2, d + 2):
+        value = coeffs[:, -i, None] + value * roots
+    return Spectrum(phis, roots, np.abs(value), scale)
 
 
-def spectrum_periodic(spec: FlockSpec, n: int) -> list[ModeSpectrum]:
-    """Spectra of all n Fourier modes of the circle system."""
+def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
+    """Spectrum of all n Fourier modes of the circle system, in mode order."""
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
-    q = mode_polynomial(spec)
-    phis = [2.0 * np.pi * m / n for m in range(n)]
-    return [mode_roots(CharPoly(phi, q.coeffs(phi))) for phi in phis]
+    phis = 2.0 * np.pi * np.arange(n) / n
+    return mode_roots(phis, mode_polynomial(spec).coeffs(phis))
 
 
-def classify(spectra: list[ModeSpectrum], tol: float = CLASSIFY_TOL) -> StabilityVerdict:
-    """Classify the spectra of all n modes of a circle, in mode order.
+def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
+    """Classify the spectrum of all n modes of a circle, in mode order.
 
     Stable demands exactly two zero roots over all modes, both at
     phi = 0, and every other eigenvalue strictly left of -tol; by the
@@ -261,39 +272,25 @@ def classify(spectra: list[ModeSpectrum], tol: float = CLASSIFY_TOL) -> Stabilit
 
     Modes m and n - m are complex conjugates, so the largest real part
     and its witness are taken over modes m <= n/2 only; otherwise
-    roundoff would pick between the two.  A negative or non-finite tol
+    roundoff would pick between the two.  The witness is the first such
+    root in mode order, then in root order.  A negative or non-finite tol
     raises :class:`InvalidTolerance`.
     """
     check_tolerance(tol)
-    n = len(spectra)
-    zero_total = 0
-    zeros_at_mode0 = 0
-    max_re = -np.inf
-    witness_phi = float("nan")
-    witness = complex("nan")
-    for m, ms in enumerate(spectra):
-        small = np.abs(ms.eigenvalues) < ms.zero_threshold()
-        zero_total += int(small.sum())
-        if m == 0:
-            zeros_at_mode0 = int(small.sum())
-        others = ms.eigenvalues[~small]
-        if 2 * m <= n and len(others):
-            re = others.real.max()
-            if re > max_re:
-                max_re = re
-                witness_phi = ms.phi
-                witness = complex(others[others.real.argmax()])
+    eigenvalues = spectrum.eigenvalues
+    zero = np.abs(eigenvalues) < spectrum.zero_threshold()[:, None]
+    zero_total = int(zero.sum())
+    real = np.where(zero, -np.inf, eigenvalues.real)[: len(eigenvalues) // 2 + 1]
+    m, j = np.unravel_index(np.argmax(real), real.shape)
+    max_re = float(real[m, j])
+    witness_phi, witness = float("nan"), complex("nan")
+    if max_re > -np.inf:
+        witness_phi, witness = float(spectrum.phis[m]), complex(eigenvalues[m, j])
 
     if max_re > tol:
         status = Stability.UNSTABLE
-    elif zeros_at_mode0 == 2 and zero_total == 2 and max_re < -tol:
+    elif zero[0].sum() == 2 and zero_total == 2 and max_re < -tol:
         status = Stability.STABLE
     else:
         status = Stability.MARGINALLY_UNSTABLE
-    return StabilityVerdict(
-        status=status,
-        zero_multiplicity=zero_total,
-        max_real_part=float(max_re),
-        witness_phi=witness_phi,
-        witness_eigenvalue=witness,
-    )
+    return StabilityVerdict(status, zero_total, max_re, witness_phi, witness)

@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 import flockstab as fs
 from flockstab import Arrangement, BoundaryCondition
 from flockstab.figures import figure1, figure2, figure3
-from flockstab.rootcurves import default_grid, mode_coefficients
+from flockstab.rootcurves import default_grid
 from conftest import random_spec
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -101,9 +101,7 @@ def test_c5_oracle_equivalence():
             spec = random_spec(rng, arrangement)
             for n in (3, 4, 5, 8):
                 dense = np.linalg.eigvals(fs.assemble_periodic(spec, n).entries)
-                modal = np.concatenate(
-                    [ms.eigenvalues for ms in fs.spectrum_periodic(spec, n)]
-                )
+                modal = fs.spectrum_periodic(spec, n).eigenvalues.ravel()
                 cost = np.abs(dense[:, None] - modal[None, :])
                 rows, cols = linear_sum_assignment(cost)
                 worst = max(worst, float(cost[rows, cols].max()))
@@ -162,7 +160,7 @@ def test_c8_small_root_branch_validation():
     c = fs.branch_curvature(spec)
     plus, minus = fs.track_branches(spec, grid)
     spec_reports = [fs.tangency_report(curve, c) for curve in (plus, minus)]
-    spec_counts = fs.small_root_counts(mode_coefficients(spec), grid, c)
+    spec_counts = fs.small_root_counts(fs.mode_polynomial(spec).coeffs, grid, c)
 
     all_reports = toy_reports + spec_reports
     ok = (
@@ -203,9 +201,7 @@ def test_c9_property_suites():
     for arrangement in Arrangement:
         for _ in range(5):
             spec = random_spec(rng, arrangement)
-            eigs = np.concatenate(
-                [ms.eigenvalues for ms in fs.spectrum_periodic(spec, 6)]
-            )
+            eigs = fs.spectrum_periodic(spec, 6).eigenvalues.ravel()
             cost = np.abs(eigs[:, None] - np.conj(eigs)[None, :])
             rows, cols = linear_sum_assignment(cost)
             if cost[rows, cols].max() >= 1e-8:

@@ -37,6 +37,12 @@ def test_check_exit_codes(tmp_path, fig1_path, fig2_path, capsys):
     assert main(["check", "--spec", str(missing)]) == 1
 
 
+def test_check_zero_tolerance(fig1_path, fig2_path):
+    # figure 1's moment is roundoff, not an instability certificate
+    assert main(["check", "--spec", str(fig1_path), "--tol", "0"]) == 0
+    assert main(["check", "--spec", str(fig2_path), "--tol", "0"]) == 2
+
+
 @pytest.mark.parametrize(
     "agents_patch",
     [

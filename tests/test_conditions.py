@@ -17,6 +17,8 @@ from flockstab import (
     conditions,
     diatomic_conditions,
     necessary_condition_value,
+    spec_from_dict,
+    spec_to_dict,
     spectrum_periodic,
     triatomic_conditions,
 )
@@ -192,6 +194,46 @@ def test_conditions_reject_bad_tolerance(tol, fig1, fig3):
 
 def test_conditions_accept_zero_tolerance(fig2):
     assert conditions(fig2, 0.0).overall is Overall.INSTABILITY_CERTIFIED
+
+
+def test_zero_tolerance_certifies_nothing_from_roundoff(fig1, fig2, fig3, fig3c):
+    # figure 1's moment is 9.7e-17 of roundoff; tol = 0 keeps every
+    # figure's verdict at the default tolerance
+    assert necessary_condition_value(fig1) != 0.0
+    for spec in (fig1, fig2, fig3, fig3c):
+        assert conditions(spec, 0.0).verdicts == conditions(spec).verdicts
+    for spec in (fig1, fig3):
+        assert conditions(spec, 0.0).overall is Overall.NECESSARY_CONDITIONS_HOLD
+    assert conditions(fig3c, 0.0).overall is Overall.INSTABILITY_CERTIFIED
+
+
+def _on_manifold(spec, shift=0.0):
+    """The spec with type 1's rho_x[1] moved onto the moment's zero (plus shift).
+
+    The moment is affine in that weight once rho_x[-1] completes the row,
+    so two evaluations locate its zero.
+    """
+    def moved(x):
+        doc = spec_to_dict(spec)
+        rho = {int(j): w for j, w in doc["agents"][0]["rho_x"].items()}
+        rho[1] = x
+        rho[-1] = -1.0 - sum(w for j, w in rho.items() if j != -1)
+        doc["agents"][0]["rho_x"] = {str(j): w for j, w in rho.items()}
+        return spec_from_dict(doc)
+
+    f0 = necessary_condition_value(moved(0.0))
+    f1 = necessary_condition_value(moved(1.0))
+    return moved(-f0 / (f1 - f0) + shift)
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_zero_tolerance_on_manifold_specs(arrangement):
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        spec = random_spec(rng, arrangement)
+        on = _on_manifold(spec)
+        assert not conditions(on, 0.0).verdicts["iii"]
+        assert conditions(_on_manifold(spec, 1e-6), 0.0).verdicts["iii"]
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))

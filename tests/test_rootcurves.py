@@ -9,15 +9,15 @@ from flockstab import (
     RootCurve,
     branch_curvature,
     build_spec,
+    mode_polynomial,
     orthogonality_angle,
     right_angle_deviation,
     small_root_counts,
-    tangency_ratio,
     tangency_report,
     track_branches,
     track_polynomial_branches,
 )
-from flockstab.rootcurves import default_grid, mode_coefficients
+from flockstab.rootcurves import default_grid
 
 
 def _grid(lo=1e-6, hi=1e-1, count=60):
@@ -32,8 +32,8 @@ def test_pure_square_root_family():
     plus, minus = track_polynomial_branches(fam, _grid())
     assert np.allclose(plus.roots, np.sqrt(plus.t_grid), atol=1e-12)
     assert np.allclose(minus.roots, -np.sqrt(minus.t_grid), atol=1e-12)
-    assert tangency_ratio(plus, 1.0) < 1e-9
-    assert tangency_ratio(minus, 1.0) < 1e-9
+    assert tangency_report(plus, 1.0).final_ratio < 1e-9
+    assert tangency_report(minus, 1.0).final_ratio < 1e-9
 
 
 def test_shifted_quadratic_family():
@@ -135,12 +135,12 @@ def test_figure_two_branches(fig2):
 
 def test_figure_two_rouche_count(fig2):
     c = branch_curvature(fig2)
-    counts = small_root_counts(mode_coefficients(fig2), default_grid(), c)
+    counts = small_root_counts(mode_polynomial(fig2).coeffs, default_grid(), c)
     assert np.all(counts == 2)
 
 
 def test_figure_two_continuity_no_branch_jumps(fig2):
-    fn = mode_coefficients(fig2)
+    fn = mode_polynomial(fig2).coeffs
     plus, minus = track_branches(fig2)
     for curve in (plus, minus):
         for k, t in enumerate(curve.t_grid):
@@ -156,7 +156,7 @@ def test_quadratic_truncation_oracle(fig2):
     # branches of the full polynomial agree with those of its quadratic
     # truncation to first order
     c = branch_curvature(fig2)
-    full_fn = mode_coefficients(fig2)
+    full_fn = mode_polynomial(fig2).coeffs
     quad_fn = lambda t: full_fn(t)[:3]
     grid = default_grid()
     full = track_branches(fig2, grid)

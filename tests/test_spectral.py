@@ -8,7 +8,6 @@ from scipy.optimize import linear_sum_assignment
 import flockstab as fs
 from flockstab import (
     Arrangement,
-    CharPoly,
     DegenerateLeadingCoefficient,
     E_func,
     HypothesisViolated,
@@ -26,7 +25,7 @@ from flockstab import (
     mode_roots,
     spectrum_periodic,
 )
-from flockstab.spectral import mode_polynomial
+from flockstab import mode_polynomial
 from conftest import random_diatomic, random_spec, random_symmetric, random_triatomic
 
 
@@ -73,41 +72,41 @@ def _numeric_matrix(spec, nu, phi):
 # --- coefficients ------------------------------------------------------------
 
 def test_char_poly_phi0_structure_triatomic(fig1):
-    cp = char_poly(fig1, 0.0)
+    a = char_poly(fig1, 0.0)
     g_x = [a.g_x for a in fig1.agents]
     g_v = [a.g_v for a in fig1.agents]
     rx = [a.rho_x[1] for a in fig1.agents]
     rv = [a.rho_v[1] for a in fig1.agents]
     pairs = [(0, 1), (1, 2), (2, 0)]
 
-    assert abs(cp.coeffs[0]) < 1e-14
-    assert abs(cp.coeffs[1]) < 1e-14
-    assert cp.coeffs[6] == -1.0
+    assert abs(a[0]) < 1e-14
+    assert abs(a[1]) < 1e-14
+    assert a[6] == -1.0
     # the determinant puts the velocity gains on nu^5 and the mixed
     # gain/pair-sum combination on nu^4
-    assert cp.coeffs[5] == pytest.approx(sum(g_v), abs=1e-14)
+    assert a[5] == pytest.approx(sum(g_v), abs=1e-14)
     e_xx = sum(E_func(g_x[i], g_x[j], rx[i], rx[j]) for i, j in pairs)
     e_vv = sum(E_func(g_v[i], g_v[j], rv[i], rv[j]) for i, j in pairs)
     e_xv = sum(E_func(g_x[i], g_v[j], rx[i], rv[j])
                + E_func(g_v[i], g_x[j], rv[i], rx[j]) for i, j in pairs)
-    assert cp.coeffs[2] == pytest.approx(-e_xx, abs=1e-13)
-    assert cp.coeffs[3] == pytest.approx(-e_xv, abs=1e-13)
-    assert cp.coeffs[4] == pytest.approx(sum(g_x) - e_vv, abs=1e-13)
+    assert a[2] == pytest.approx(-e_xx, abs=1e-13)
+    assert a[3] == pytest.approx(-e_xv, abs=1e-13)
+    assert a[4] == pytest.approx(sum(g_x) - e_vv, abs=1e-13)
 
 
 def test_char_poly_phi0_structure_diatomic(fig3):
-    cp = char_poly(fig3, 0.0)
+    a = char_poly(fig3, 0.0)
     ab = alphas_betas(fig3)
     g_x = [a.g_x for a in fig3.agents]
     g_v = [a.g_v for a in fig3.agents]
-    assert abs(cp.coeffs[0]) < 1e-14
-    assert abs(cp.coeffs[1]) < 1e-14
-    assert cp.coeffs[4] == 1.0
-    assert cp.coeffs[2] == pytest.approx(
+    assert abs(a[0]) < 1e-14
+    assert abs(a[1]) < 1e-14
+    assert a[4] == 1.0
+    assert a[2] == pytest.approx(
         g_x[0] * ab.alpha_x[0][1] + g_x[1] * ab.alpha_x[1][1], abs=1e-14
     )
-    assert cp.coeffs[2] == pytest.approx(0.9333333333333333, abs=1e-12)
-    assert cp.coeffs[3] == pytest.approx(
+    assert a[2] == pytest.approx(0.9333333333333333, abs=1e-12)
+    assert a[3] == pytest.approx(
         g_v[0] * ab.alpha_v[0][1] + g_v[1] * ab.alpha_v[1][1], abs=1e-14
     )
 
@@ -119,9 +118,9 @@ def test_char_poly_matches_numeric_determinant(arrangement):
         spec = random_spec(rng, arrangement)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         nu = complex(rng.normal(), rng.normal())
-        cp = char_poly(spec, phi)
+        value = npp.polyval(nu, char_poly(spec, phi))
         direct = np.linalg.det(_numeric_matrix(spec, nu, phi))
-        assert cp(nu) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+        assert value == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
 def _npp_det(m):
@@ -159,7 +158,7 @@ def test_mode_coefficients_match_numpy_polynomial_determinant(arrangement, fig1,
             oracle = np.zeros(2 * spec.n_types + 1, dtype=complex)
             det = _npp_det(_mode_matrix(spec, phi))
             oracle[: len(det)] = det
-            error = np.abs(char_poly(spec, phi).coeffs - oracle).max()
+            error = np.abs(char_poly(spec, phi) - oracle).max()
             assert error <= ORACLE_RTOL * np.abs(oracle).max()
 
 
@@ -169,7 +168,7 @@ def test_a0_cross_derivation(arrangement):
     for _ in range(20):
         spec = random_spec(rng, arrangement)
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        from_poly = char_poly(spec, phi).coeffs[0]
+        from_poly = char_poly(spec, phi)[0]
         closed = a0_constant_term(spec, phi)
         assert abs(from_poly - closed) <= 1e-10 * (1.0 + abs(closed))
 
@@ -198,7 +197,7 @@ def test_a0_symmetric_triatomic_closed_form():
     for phi in np.linspace(0.0, 2.0 * np.pi, 9):
         expected = -(1.0 - np.cos(phi)) / 4.0
         assert a0_constant_term(spec, phi) == pytest.approx(expected, abs=1e-14)
-        assert char_poly(spec, phi).coeffs[0] == pytest.approx(expected, abs=1e-13)
+        assert char_poly(spec, phi)[0] == pytest.approx(expected, abs=1e-13)
 
 
 def test_a0_small_phi_accuracy():
@@ -207,60 +206,96 @@ def test_a0_small_phi_accuracy():
     spec = _half_weights()
     for phi in (1e-3, 1e-5, 1e-7):
         expected = -np.sin(phi / 2.0) ** 2 / 2.0
-        a0 = char_poly(spec, phi).coeffs[0]
+        a0 = char_poly(spec, phi)[0]
         assert abs(a0 - expected) <= 1e-12 * abs(expected)
 
 
 def test_a0_figure_three_at_pi_over_seven(fig3):
     phi = np.pi / 7.0
     assert a0_constant_term(fig3, phi) == pytest.approx(
-        complex(char_poly(fig3, phi).coeffs[0]), rel=1e-12, abs=1e-14
+        complex(char_poly(fig3, phi)[0]), rel=1e-12, abs=1e-14
     )
+
+
+def _zero_gain():
+    """Half weights with type 1's positional gain zero: a_0 = 0 in every mode."""
+    half = {"1": -0.5, "-1": -0.5}
+    agents = [{"g_x": -1.0, "g_v": -1.0, "rho_x": half, "rho_v": half}] * 3
+    return build_spec(Arrangement.TRIATOMIC_NN, [{**agents[0], "g_x": 0.0}, *agents[1:]])
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_char_poly_rows_match_scalar_calls(arrangement, fig1, fig3):
+    rng = np.random.default_rng(47)
+    figure = fig1 if arrangement is Arrangement.TRIATOMIC_NN else fig3
+    for spec in [figure] + [random_spec(rng, arrangement) for _ in range(5)]:
+        phis = np.concatenate([[0.0, 1e-7], rng.uniform(0.0, 2.0 * np.pi, 30)])
+        rows = char_poly(spec, phis)
+        assert rows.shape == (len(phis), 2 * spec.n_types + 1)
+        for phi, row in zip(phis, rows):
+            assert row.tobytes() == char_poly(spec, phi).tobytes()
 
 
 # --- roots -------------------------------------------------------------------
 
 def test_mode_roots_factored_polynomial():
     # (nu^2)(nu^2 + 3 nu + 2) has roots 0, 0, -1, -2
-    cp = CharPoly(phi=0.0, coeffs=np.array([0.0, 0.0, 2.0, 3.0, 1.0]))
-    ms = mode_roots(cp)
+    spectrum = mode_roots(0.0, np.array([0.0, 0.0, 2.0, 3.0, 1.0]))
     assert np.allclose(
-        sorted(ms.eigenvalues.real), [-2.0, -1.0, 0.0, 0.0], atol=1e-12
+        sorted(spectrum.eigenvalues[0].real), [-2.0, -1.0, 0.0, 0.0], atol=1e-12
     )
-    assert np.abs(ms.eigenvalues.imag).max() < 1e-12
-    assert ms.residuals.max() < 1e-8 * ms.coeff_scale
+    assert np.abs(spectrum.eigenvalues.imag).max() < 1e-12
+    assert spectrum.residuals.max() < 1e-8 * spectrum.coeff_scale[0]
 
 
 def test_mode_roots_sorted_descending(fig1):
-    ms = mode_roots(char_poly(fig1, 1.0))
-    assert np.all(np.diff(ms.eigenvalues.real) <= 1e-12)
+    roots = mode_roots(1.0, char_poly(fig1, 1.0)).eigenvalues[0]
+    assert np.all(np.diff(roots.real) <= 1e-12)
 
 
 def test_mode_roots_degenerate_leading():
     with pytest.raises(DegenerateLeadingCoefficient):
-        mode_roots(CharPoly(phi=0.0, coeffs=np.array([1.0, 2.0, 0.0])))
+        mode_roots(0.0, np.array([1.0, 2.0, 0.0]))
 
 
 def test_figure_one_mode_zero_roots(fig1):
-    ms = mode_roots(char_poly(fig1, 0.0))
-    thr = ms.zero_threshold()
-    zeros = np.abs(ms.eigenvalues) < thr
+    spectrum = mode_roots(0.0, char_poly(fig1, 0.0))
+    roots = spectrum.eigenvalues[0]
+    zeros = np.abs(roots) < spectrum.zero_threshold()[0]
     assert zeros.sum() == 2
-    assert np.all(ms.eigenvalues[~zeros].real < 0.0)
+    assert np.all(roots[~zeros].real < 0.0)
 
 
 def test_figure_one_first_mode_strictly_stable(fig1):
-    ms = mode_roots(char_poly(fig1, 2.0 * np.pi / 60.0))
-    assert np.all(ms.eigenvalues.real < 0.0)
+    phi = 2.0 * np.pi / 60.0
+    assert np.all(mode_roots(phi, char_poly(fig1, phi)).eigenvalues.real < 0.0)
 
 
 def _pairing_distance(spec, n):
     dense = np.linalg.eigvals(assemble_periodic(spec, n).entries)
-    modal = np.concatenate([ms.eigenvalues for ms in spectrum_periodic(spec, n)])
+    modal = spectrum_periodic(spec, n).eigenvalues.ravel()
     assert len(dense) == len(modal) == 2 * spec.n_types * n
     cost = np.abs(dense[:, None] - modal[None, :])
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols].max()
+
+
+@pytest.mark.parametrize("n", [3, 48, 65])
+def test_spectrum_rows_match_np_roots(n, fig1, fig2, fig3, fig3c):
+    zero_gain = _zero_gain()
+    phis = 2.0 * np.pi * np.arange(n) / n
+    assert np.all(char_poly(zero_gain, phis)[:, 0] == 0)
+    for spec in (fig1, fig2, fig3, fig3c, zero_gain):
+        spectrum = spectrum_periodic(spec, n)
+        assert spectrum.phis.tobytes() == phis.tobytes()
+        for m, phi in enumerate(phis):
+            coeffs = char_poly(spec, phi)
+            roots = np.roots(coeffs[::-1])
+            roots = roots[np.lexsort((-roots.imag, -roots.real))]
+            residuals = np.abs(npp.polyval(roots, coeffs))
+            assert spectrum.eigenvalues[m].tobytes() == roots.tobytes()
+            assert spectrum.residuals[m].tobytes() == residuals.tobytes()
+            assert spectrum.coeff_scale[m] == np.abs(coeffs).max()
 
 
 def test_spectrum_matches_dense_eigensolver(fig1, fig3):
@@ -271,18 +306,17 @@ def test_spectrum_matches_dense_eigensolver(fig1, fig3):
 def test_leading_coefficient_is_exactly_unit():
     rng = np.random.default_rng(19)
     for _ in range(10):
-        assert char_poly(random_triatomic(rng), rng.uniform(0, 6)).coeffs[-1] == -1.0
-        assert char_poly(random_diatomic(rng), rng.uniform(0, 6)).coeffs[-1] == 1.0
+        assert char_poly(random_triatomic(rng), rng.uniform(0, 6))[-1] == -1.0
+        assert char_poly(random_diatomic(rng), rng.uniform(0, 6))[-1] == 1.0
 
 
 def test_spectrum_conjugate_closed():
     rng = np.random.default_rng(5)
     for maker in (random_triatomic, random_diatomic):
         spec = maker(rng)
-        spectra = spectrum_periodic(spec, 5)
-        for ms in spectra:
-            assert ms.residuals.max() < 1e-8 * ms.coeff_scale
-        all_eigs = np.concatenate([ms.eigenvalues for ms in spectra])
+        spectrum = spectrum_periodic(spec, 5)
+        assert np.all(spectrum.residuals.max(axis=1) < 1e-8 * spectrum.coeff_scale)
+        all_eigs = spectrum.eigenvalues.ravel()
         cost = np.abs(all_eigs[:, None] - np.conj(all_eigs)[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() < 1e-8
@@ -290,10 +324,10 @@ def test_spectrum_conjugate_closed():
 
 def test_modes_m_and_n_minus_m_conjugate(fig1):
     n = 7
-    spectra = spectrum_periodic(fig1, n)
+    eigenvalues = spectrum_periodic(fig1, n).eigenvalues
     for m in range(1, n):
-        a = np.sort_complex(spectra[m].eigenvalues)
-        b = np.sort_complex(np.conj(spectra[n - m].eigenvalues))
+        a = np.sort_complex(eigenvalues[m])
+        b = np.sort_complex(np.conj(eigenvalues[n - m]))
         assert np.allclose(a, b, atol=1e-9)
 
 
@@ -347,9 +381,9 @@ def test_classify_same_rule_at_every_size(figure, request):
 @pytest.mark.parametrize("figure", ["fig1", "fig3"])
 def test_constraint_roundoff_keeps_exact_double_zero(figure, eps, request):
     spec = _shift_first_weight(request.getfixturevalue(figure), eps)
-    spectra = spectrum_periodic(spec, 60)
-    assert classify(spectra).status is Stability.STABLE
-    assert np.count_nonzero(spectra[0].eigenvalues == 0j) == 2
+    spectrum = spectrum_periodic(spec, 60)
+    assert classify(spectrum).status is Stability.STABLE
+    assert np.count_nonzero(spectrum.eigenvalues[0] == 0j) == 2
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
@@ -359,6 +393,84 @@ def test_witness_from_lower_half_of_modes(arrangement):
         spec = random_spec(rng, arrangement)
         for n in (7, 48):
             assert classify(spectrum_periodic(spec, n)).witness_phi <= np.pi
+
+
+def _classify_per_mode(spectrum, tol=fs.spectral.CLASSIFY_TOL):
+    """The per-mode loop that classify replaced, as a reference."""
+    n = len(spectrum.phis)
+    zero_total = 0
+    zeros_at_mode0 = 0
+    max_re = -np.inf
+    witness_phi = float("nan")
+    witness = complex("nan")
+    for m in range(n):
+        eigenvalues = spectrum.eigenvalues[m]
+        scale = float(spectrum.coeff_scale[m])
+        threshold = 1e-8 * (1.0 + scale ** (1.0 / len(eigenvalues)))
+        small = np.abs(eigenvalues) < threshold
+        zero_total += int(small.sum())
+        if m == 0:
+            zeros_at_mode0 = int(small.sum())
+        others = eigenvalues[~small]
+        if 2 * m <= n and len(others):
+            re = others.real.max()
+            if re > max_re:
+                max_re = re
+                witness_phi = float(spectrum.phis[m])
+                witness = complex(others[others.real.argmax()])
+    if max_re > tol:
+        status = Stability.UNSTABLE
+    elif zeros_at_mode0 == 2 and zero_total == 2 and max_re < -tol:
+        status = Stability.STABLE
+    else:
+        status = Stability.MARGINALLY_UNSTABLE
+    return status, zero_total, float(max_re), witness_phi, witness
+
+
+def _verdict_tuple(verdict):
+    return (verdict.status, verdict.zero_multiplicity, verdict.max_real_part,
+            verdict.witness_phi, verdict.witness_eigenvalue)
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_classify_matches_per_mode_loop(arrangement):
+    rng = np.random.default_rng(59)
+    specs = [random_spec(rng, arrangement) for _ in range(20)]
+    statuses = set()
+    for spec in specs:
+        for n in (3, 8, 48, 65):
+            spectrum = spectrum_periodic(spec, n)
+            got = _verdict_tuple(classify(spectrum))
+            # repr tells NaN and signed zeros apart, and equal NaNs match
+            assert repr(got) == repr(_classify_per_mode(spectrum))
+            statuses.add(got[0])
+    assert statuses == {Stability.STABLE, Stability.UNSTABLE}
+
+
+def _spectrum(eigenvalues):
+    """A Spectrum with the given rows at phi_m = 2 pi m / n."""
+    eigenvalues = np.array(eigenvalues, dtype=complex)
+    n = len(eigenvalues)
+    return fs.Spectrum(phis=2.0 * np.pi * np.arange(n) / n, eigenvalues=eigenvalues,
+                       residuals=np.zeros(eigenvalues.shape), coeff_scale=np.ones(n))
+
+
+def test_classify_matches_per_mode_loop_on_ties_and_zero_roots():
+    # exact ties within and across modes: the first in mode order wins
+    tied = _spectrum([[0, 0, -1 + 1j, -1 - 1j],
+                      [-0.5 + 2j, -0.5 - 2j, -3, -4],
+                      [-0.5 + 1j, -0.5 - 1j, -3, -4],
+                      [-0.5 + 3j, -0.5 - 3j, -3, -4]])
+    # every root exactly zero: no witness, max real part -inf
+    all_zero = mode_roots(np.arange(4.0), np.tile([0.0, 0.0, 1.0], (4, 1)))
+    for spectrum in (tied, all_zero, spectrum_periodic(_zero_gain(), 12)):
+        got = _verdict_tuple(classify(spectrum))
+        assert repr(got) == repr(_classify_per_mode(spectrum))
+    assert classify(tied).witness_eigenvalue == -0.5 + 2j
+    assert classify(tied).status is Stability.STABLE
+    verdict = classify(all_zero)
+    assert verdict.status is Stability.MARGINALLY_UNSTABLE
+    assert verdict.max_real_part == -np.inf and np.isnan(verdict.witness_phi)
 
 
 @pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf")])
@@ -375,19 +487,8 @@ def test_classify_figure_two_not_stable(fig2):
 
 
 def test_classify_zero_gain_marginal():
-    spec = build_spec(
-        Arrangement.TRIATOMIC_NN,
-        [
-            {"g_x": 0.0, "g_v": -1.0,
-             "rho_x": {"1": -0.5, "-1": -0.5}, "rho_v": {"1": -0.5, "-1": -0.5}},
-            {"g_x": -1.0, "g_v": -1.0,
-             "rho_x": {"1": -0.5, "-1": -0.5}, "rho_v": {"1": -0.5, "-1": -0.5}},
-            {"g_x": -1.0, "g_v": -1.0,
-             "rho_x": {"1": -0.5, "-1": -0.5}, "rho_v": {"1": -0.5, "-1": -0.5}},
-        ],
-    )
     n = 12
-    verdict = classify(spectrum_periodic(spec, n))
+    verdict = classify(spectrum_periodic(_zero_gain(), n))
     assert verdict.status is Stability.MARGINALLY_UNSTABLE
     assert verdict.zero_multiplicity >= n
 
