@@ -14,9 +14,7 @@ from .conditions import (
     E_func,
     Overall,
     conditions,
-    diatomic_conditions,
     necessary_condition_value,
-    triatomic_conditions,
 )
 from .errors import (
     BlowUp,
@@ -28,7 +26,6 @@ from .errors import (
     InvalidTolerance,
     ShapeError,
     SizeError,
-    WrongArrangement,
 )
 from .model import (
     AgentParams,

@@ -31,40 +31,47 @@ from .simulation import scan_N, simulate, transient
 from .spectral import CLASSIFY_TOL, classify, spectrum_periodic
 
 
-def _out_dir(args) -> Path | None:
-    out = getattr(args, "out", None)
-    if out is None:
-        return None
-    out = Path(out)
+def _claim(out: Path, force: bool, *names: str) -> list[Path]:
+    """The command's output paths, all refused before any work unless --force.
+
+    The directory is created only once every path is free.
+    """
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.exists() and not force:
+            raise FileExistsError(f"{path} exists; pass --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return paths
 
 
-def _target(out: Path, name: str, force: bool) -> Path:
-    path = out / name
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    return path
+def _write_trajectory(csv_path: Path, svg_path: Path, traj) -> None:
+    reports.write_trajectory_csv(csv_path, traj)
+    svg_path.write_text(reports.trajectory_svg(traj), encoding="utf-8")
+
+
+def _write_scan(csv_path: Path, svg_path: Path, result) -> None:
+    reports.write_scan_csv(csv_path, result)
+    svg_path.write_text(reports.scan_svg(result), encoding="utf-8")
 
 
 def cmd_check(args) -> int:
     spec = load_spec(args.spec)
+    paths = [] if args.out is None else _claim(args.out, args.force, "conditions.json")
     report = conditions(spec, tol=args.tol)
     payload = report.to_dict()
     print(json.dumps(reports.canon(payload), indent=2))
-    out = _out_dir(args)
-    if out is not None:
-        reports.write_json(_target(out, "conditions.json", args.force), payload)
+    for path in paths:
+        reports.write_json(path, payload)
     return 0 if report.overall is Overall.NECESSARY_CONDITIONS_HOLD else 2
 
 
 def cmd_spectrum(args) -> int:
     spec = load_spec(args.spec)
+    csv_path, json_path = _claim(args.out, args.force, "spectrum.csv", "verdict.json")
     spectrum = spectrum_periodic(spec, args.n)
     verdict = classify(spectrum, tol=args.tol)
-    out = _out_dir(args)
-    reports.write_spectrum_csv(_target(out, "spectrum.csv", args.force), spectrum)
-    reports.write_json(_target(out, "verdict.json", args.force), verdict.to_dict())
+    reports.write_spectrum_csv(csv_path, spectrum)
+    reports.write_json(json_path, verdict.to_dict())
     print(f"{verdict.status.value}: max Re = {verdict.max_real_part:.6g}, "
           f"zero multiplicity {verdict.zero_multiplicity}")
     return 0
@@ -73,10 +80,9 @@ def cmd_spectrum(args) -> int:
 def cmd_simulate(args) -> int:
     spec = load_spec(args.spec)
     t_max = args.tmax if args.tmax is not None else 3.0 * spec.n_types * args.n
-    out = _out_dir(args)
-    csv_path = _target(out, "trajectory.csv", args.force)
-    json_path = _target(out, "transient.json", args.force)
-    svg_path = _target(out, "trajectory.svg", args.force)
+    csv_path, json_path, svg_path = _claim(
+        args.out, args.force, "trajectory.csv", "transient.json", "trajectory.svg"
+    )
     try:
         traj = simulate(spec, args.n, BoundaryCondition(args.bc), t_max, args.dt)
     except BlowUp as blow:
@@ -85,9 +91,8 @@ def cmd_simulate(args) -> int:
         print(f"blow-up at t={blow.time:.4f}")
         return 0
     rep = transient(traj)
-    reports.write_trajectory_csv(csv_path, traj)
+    _write_trajectory(csv_path, svg_path, traj)
     reports.write_json(json_path, {"blew_up": False, **rep.to_dict()})
-    svg_path.write_text(reports.trajectory_svg(traj), encoding="utf-8")
     print(f"magnitude {rep.magnitude:.6g} at t={rep.time_at_extremum:.4f} "
           f"(agent {rep.agent_at_extremum}, converged={rep.converged})")
     return 0
@@ -96,28 +101,26 @@ def cmd_simulate(args) -> int:
 def cmd_scan(args) -> int:
     spec = load_spec(args.spec)
     n_values = [int(v) for v in args.N_list.split(",") if v.strip()]
-    result = scan_N(spec, BoundaryCondition(args.bc), n_values, dt=args.dt, t_max=args.tmax)
-    out = _out_dir(args)
-    reports.write_scan_csv(_target(out, "scan.csv", args.force), result)
-    reports.write_json(_target(out, "scan.json", args.force), result.to_dict())
-    _target(out, "scan.svg", args.force).write_text(
-        reports.scan_svg(result), encoding="utf-8"
+    csv_path, json_path, svg_path = _claim(
+        args.out, args.force, "scan.csv", "scan.json", "scan.svg"
     )
+    result = scan_N(spec, BoundaryCondition(args.bc), n_values, dt=args.dt, t_max=args.tmax)
+    _write_scan(csv_path, svg_path, result)
+    reports.write_json(json_path, result.to_dict())
     print(f"slope {result.slope:.6g}, R^2 {result.r_squared:.4f}")
     return 0
 
 
 def cmd_rootcurves(args) -> int:
     spec = load_spec(args.spec)
+    csv_path, svg_path, json_path = _claim(
+        args.out, args.force, "rootcurves.csv", "rootcurves.svg", "rootcurves.json"
+    )
     grid = np.geomspace(args.phi_min, args.phi_max, args.phi_points)
     c = branch_curvature(spec)
     plus, minus = track_branches(spec, grid)
-    out = _out_dir(args)
-    reports.write_rootcurves_csv(_target(out, "rootcurves.csv", args.force),
-                                 plus, minus, c)
-    _target(out, "rootcurves.svg", args.force).write_text(
-        reports.rootcurves_svg(plus, minus, c), encoding="utf-8"
-    )
+    reports.write_rootcurves_csv(csv_path, plus, minus, c)
+    svg_path.write_text(reports.rootcurves_svg(plus, minus, c), encoding="utf-8")
     angle = orthogonality_angle(plus, minus)
     payload = {
         "curvature": {"re": c.real, "im": c.imag},
@@ -137,7 +140,7 @@ def cmd_rootcurves(args) -> int:
             )
         },
     }
-    reports.write_json(_target(out, "rootcurves.json", args.force), payload)
+    reports.write_json(json_path, payload)
     print(f"c = {c:.6g}; branch angle {angle:.2f} deg "
           f"(off right angles by {right_angle_deviation(angle):.3f} deg)")
     return 0
@@ -145,9 +148,11 @@ def cmd_rootcurves(args) -> int:
 
 def cmd_reproduce(args) -> int:
     run = FIGURE_RUNS[args.figure]
+    stem = "scan" if run.kind == "scan" else "trajectory"
+    csv_path, svg_path, json_path = _claim(
+        args.out / run.figure, args.force, f"{stem}.csv", f"{stem}.svg", "report.json"
+    )
     spec = run.spec()
-    out = _out_dir(args) / run.figure
-    out.mkdir(parents=True, exist_ok=True)
     cond = conditions(spec)
     report: dict = {
         "figure": run.figure,
@@ -157,10 +162,7 @@ def cmd_reproduce(args) -> int:
 
     if run.kind == "scan":
         result = scan_N(spec, run.bc, list(run.n_values), dt=run.dt)
-        reports.write_scan_csv(_target(out, "scan.csv", args.force), result)
-        _target(out, "scan.svg", args.force).write_text(
-            reports.scan_svg(result), encoding="utf-8"
-        )
+        _write_scan(csv_path, svg_path, result)
         passed = result.slope > 0.0 and result.r_squared > 0.9
         report.update({
             "computed": result.to_dict(),
@@ -173,14 +175,11 @@ def cmd_reproduce(args) -> int:
         except BlowUp as blow:
             report.update({"blew_up": True, "time": blow.time,
                            "within_tolerance": None})
-            reports.write_json(_target(out, "report.json", args.force), report)
+            reports.write_json(json_path, report)
             print(f"{run.figure}: blow-up at t={blow.time:.3f}")
             return 0
         rep = transient(traj)
-        reports.write_trajectory_csv(_target(out, "trajectory.csv", args.force), traj)
-        _target(out, "trajectory.svg", args.force).write_text(
-            reports.trajectory_svg(traj), encoding="utf-8"
-        )
+        _write_trajectory(csv_path, svg_path, traj)
         report["computed"] = rep.to_dict()
         if run.published_magnitude is not None:
             mag_err = abs(rep.magnitude - run.published_magnitude) / abs(
@@ -199,7 +198,7 @@ def cmd_reproduce(args) -> int:
         else:
             report.update({"published": None, "within_tolerance": None})
 
-    reports.write_json(_target(out, "report.json", args.force), report)
+    reports.write_json(json_path, report)
     status = report["within_tolerance"]
     print(f"{run.figure}: within_tolerance={status}")
     return 0
@@ -274,8 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FlockstabError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (FlockstabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

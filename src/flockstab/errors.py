@@ -28,10 +28,6 @@ class SizeError(FlockstabError):
     """Requested cell count is too small for a well-defined assembly."""
 
 
-class WrongArrangement(FlockstabError):
-    """Operation dispatched on a spec of the other arrangement."""
-
-
 class InvalidTolerance(FlockstabError):
     """A decision tolerance is negative or not finite."""
 

@@ -88,3 +88,20 @@ def random_symmetric(rng: np.random.Generator, arrangement: Arrangement):
             )
         )
     return build_spec(arrangement, agents)
+
+
+def alpha_roundoff_spec(g_x2: float = 1.5):
+    """Two-type spec whose gain-weighted alpha_x sum, -1 * 0.9 + 1.5 * (-0.6),
+    is zero in exact arithmetic and left positive by roundoff.
+
+    All weights are symmetric, so the moment is exactly zero.
+    """
+    def agent(g_x, first, second):
+        return AgentParams(
+            g_x=g_x, g_v=-1.0,
+            rho_x={1: first, -1: first, 2: second, -2: second},
+            rho_v={1: -0.3, -1: -0.3, 2: -0.2, -2: -0.2},
+        )
+
+    return build_spec(Arrangement.DIATOMIC_NNN,
+                      [agent(-1.0, -0.45, -0.05), agent(g_x2, -0.3, -0.2)])

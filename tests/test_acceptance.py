@@ -73,8 +73,8 @@ def test_c3_figure_three_reproductions():
 
 
 def test_c4_condition_arithmetic():
-    rep1 = fs.triatomic_conditions(figure1())
-    rep2 = fs.triatomic_conditions(figure2())
+    rep1 = fs.conditions(figure1())
+    rep2 = fs.conditions(figure2())
     beta1 = rep1.case_values["beta_sum"]
     mpc1 = rep1.case_values["moment_plus_correction"]
     beta2 = rep2.case_values["beta_sum"]

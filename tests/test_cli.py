@@ -5,6 +5,7 @@ import pytest
 import flockstab as fs
 from flockstab.cli import main
 from flockstab.figures import figure1, figure2
+from conftest import alpha_roundoff_spec
 
 
 @pytest.fixture
@@ -41,6 +42,13 @@ def test_check_zero_tolerance(fig1_path, fig2_path):
     # figure 1's moment is roundoff, not an instability certificate
     assert main(["check", "--spec", str(fig1_path), "--tol", "0"]) == 0
     assert main(["check", "--spec", str(fig2_path), "--tol", "0"]) == 2
+
+
+def test_check_zero_tolerance_certifies_vanishing_alpha_sum(tmp_path):
+    # the alpha_x sum is zero up to roundoff; every other clause holds
+    path = tmp_path / "alpha.json"
+    fs.save_spec(alpha_roundoff_spec(), path)
+    assert main(["check", "--spec", str(path), "--tol", "0"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -124,6 +132,30 @@ def test_force_flag_guards_overwrites(tmp_path, fig1_path):
     assert main(argv) == 0
     assert main(argv) == 1  # refuses to overwrite
     assert main(argv + ["--force"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["spectrum", "--n", "4"], "verdict.json"),
+        (["scan", "--N-list", "9,18", "--dt", "0.02"], "scan.svg"),
+        (["rootcurves", "--phi-points", "20"], "rootcurves.json"),
+        (["reproduce", "fig3a"], "fig3a/report.json"),
+    ],
+    ids=["spectrum", "scan", "rootcurves", "reproduce"],
+)
+def test_existing_output_refused_before_any_write(tmp_path, fig2_path, capsys, argv, last):
+    # the file a command writes last is the one it used to refuse too late
+    out = tmp_path / "out"
+    target = out / last
+    target.parent.mkdir(parents=True)
+    target.write_bytes(b"kept")
+    listing = sorted(out.rglob("*"))
+    spec = [] if argv[0] == "reproduce" else ["--spec", str(fig2_path)]
+    assert main([*argv, *spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(out.rglob("*")) == listing
+    assert target.read_bytes() == b"kept"
 
 
 def test_scan_outputs(tmp_path, fig1_path):

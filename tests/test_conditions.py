@@ -10,19 +10,17 @@ from flockstab import (
     InvalidTolerance,
     Overall,
     Stability,
-    WrongArrangement,
     a0_derivative_at_zero,
+    alphas_betas,
     build_spec,
     classify,
     conditions,
-    diatomic_conditions,
     necessary_condition_value,
     spec_from_dict,
     spec_to_dict,
     spectrum_periodic,
-    triatomic_conditions,
 )
-from conftest import random_spec, random_symmetric
+from conftest import alpha_roundoff_spec, random_spec, random_symmetric
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -68,7 +66,7 @@ def test_e_examples():
 # --- triatomic clauses -------------------------------------------------------
 
 def test_triatomic_figure_one(fig1):
-    rep = triatomic_conditions(fig1)
+    rep = conditions(fig1)
     assert rep.case_values["beta_sum"] == pytest.approx(-3.0 / 35.0, abs=1e-12)
     assert abs(rep.case_values["moment_plus_correction"]) < 1e-9
     assert not rep.verdicts["iii"]
@@ -76,7 +74,7 @@ def test_triatomic_figure_one(fig1):
 
 
 def test_triatomic_figure_two(fig2):
-    rep = triatomic_conditions(fig2)
+    rep = conditions(fig2)
     assert abs(rep.case_values["beta_sum"]) < 1e-12
     assert rep.case_values["moment_plus_correction"] == pytest.approx(0.096, abs=1e-12)
     assert rep.verdicts["iii"]
@@ -95,27 +93,22 @@ def test_triatomic_zero_gain_triggers():
              "rho_x": {"1": -0.8, "-1": -0.2}, "rho_v": {"1": -0.5, "-1": -0.5}},
         ],
     )
-    rep = triatomic_conditions(spec)
+    rep = conditions(spec)
     assert rep.verdicts["i"]
     assert rep.overall is Overall.INSTABILITY_CERTIFIED
-
-
-def test_triatomic_wrong_arrangement(fig3):
-    with pytest.raises(WrongArrangement):
-        triatomic_conditions(fig3)
 
 
 def test_triatomic_cyclic_relabel_invariance():
     rng = np.random.default_rng(3)
     for _ in range(10):
         spec = random_spec(rng, Arrangement.TRIATOMIC_NN)
-        rep = triatomic_conditions(spec)
+        rep = conditions(spec)
         for shift in (1, 2):
             rolled = build_spec(
                 Arrangement.TRIATOMIC_NN,
                 spec.agents[shift:] + spec.agents[:shift],
             )
-            rolled_rep = triatomic_conditions(rolled)
+            rolled_rep = conditions(rolled)
             for key in ("e_sum", "beta_sum", "moment_plus_correction", "g_product"):
                 assert rolled_rep.case_values[key] == pytest.approx(
                     rep.case_values[key], rel=1e-12, abs=1e-12
@@ -125,7 +118,7 @@ def test_triatomic_cyclic_relabel_invariance():
 # --- diatomic clauses --------------------------------------------------------
 
 def test_diatomic_figure_three(fig3):
-    rep = diatomic_conditions(fig3)
+    rep = conditions(fig3)
     assert abs(rep.case_values["moment_plus_correction"]) < 1e-12
     assert rep.case_values["gain_weighted_alpha_x"] == pytest.approx(
         14.0 / 15.0, abs=1e-12
@@ -136,7 +129,7 @@ def test_diatomic_figure_three(fig3):
 
 
 def test_diatomic_figure_three_c_triggers(fig3c):
-    rep = diatomic_conditions(fig3c)
+    rep = conditions(fig3c)
     assert rep.case_values["moment_plus_correction"] == pytest.approx(0.045, abs=1e-12)
     assert rep.verdicts["iii"]
     assert rep.overall is Overall.INSTABILITY_CERTIFIED
@@ -151,7 +144,7 @@ def test_diatomic_zero_gain_triggers_with_note(fig3):
          "rho_x": {str(j): w for j, w in fig3.agents[1].rho_x.items()},
          "rho_v": {str(j): w for j, w in fig3.agents[1].rho_v.items()}},
     ]
-    rep = diatomic_conditions(build_spec(Arrangement.DIATOMIC_NNN, agents))
+    rep = conditions(build_spec(Arrangement.DIATOMIC_NNN, agents))
     clause = next(c for c in rep.clauses if c.id == "i")
     assert clause.triggered
     assert "zero-gain" in clause.note
@@ -164,7 +157,7 @@ def test_diatomic_sign_clause():
          "rho_x": {"1": -0.3, "-1": -0.3, "2": -0.2, "-2": -0.2},
          "rho_v": {"1": -0.3, "-1": -0.3, "2": -0.2, "-2": -0.2}},
     ] * 2
-    rep = diatomic_conditions(build_spec(Arrangement.DIATOMIC_NNN, agents))
+    rep = conditions(build_spec(Arrangement.DIATOMIC_NNN, agents))
     assert rep.verdicts["ii-x"]
     assert not rep.verdicts["ii-v"]
     assert rep.overall is Overall.INSTABILITY_CERTIFIED
@@ -186,10 +179,9 @@ def test_necessary_condition_values(fig1, fig2, fig3):
 
 @pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf"), float("-inf")])
 def test_conditions_reject_bad_tolerance(tol, fig1, fig3):
-    for check, spec in ((conditions, fig1), (conditions, fig3),
-                        (triatomic_conditions, fig1), (diatomic_conditions, fig3)):
+    for spec in (fig1, fig3):
         with pytest.raises(InvalidTolerance):
-            check(spec, tol)
+            conditions(spec, tol)
 
 
 def test_conditions_accept_zero_tolerance(fig2):
@@ -234,6 +226,54 @@ def test_zero_tolerance_on_manifold_specs(arrangement):
         on = _on_manifold(spec)
         assert not conditions(on, 0.0).verdicts["iii"]
         assert conditions(_on_manifold(spec, 1e-6), 0.0).verdicts["iii"]
+
+
+def test_pair_sum_roundoff_triggers_clause_ii_at_zero_tolerance():
+    # gains -1: the pair sum is 3 + c0 + c1 + c0 c1 + c2 (1 + c0 + c1)
+    rng = np.random.default_rng(61)
+    for c0, c1 in rng.uniform(-1.4, -0.6, size=(50, 2)):
+        c2 = -(3.0 + c0 + c1 + c0 * c1) / (1.0 + c0 + c1)
+
+        def spec(c2):
+            return build_spec(Arrangement.TRIATOMIC_NN, [
+                {"g_x": -1.0, "g_v": -1.0, "rho_x": {"1": c, "-1": -1.0 - c},
+                 "rho_v": {"1": -0.5, "-1": -0.5}}
+                for c in (c0, c1, c2)
+            ])
+
+        assert conditions(spec(c2), 0.0).verdicts["ii"]
+        assert not conditions(spec(c2 + 1e-9), 0.0).verdicts["ii"]
+
+
+def _alpha_sums_cancel(rng):
+    """Random two-type spec whose gain-weighted alpha sums vanish up to the
+    roundoff of building it: type 2's first-offset alphas are -g alpha / g'
+    of type 1's, its second-offset weights completing each row."""
+    spec = random_spec(rng, Arrangement.DIATOMIC_NNN)
+    doc = spec_to_dict(spec)
+    ab = alphas_betas(spec)
+    for key, alphas in (("x", ab.alpha_x), ("v", ab.alpha_v)):
+        g0, g1 = (a["g_" + key] for a in doc["agents"])
+        alpha = -g0 * alphas[0][1] / g1
+        rho = doc["agents"][1]["rho_" + key]
+        rho["2"] = rho["-2"] = (-1.0 - alpha) / 2.0
+        rho["-1"] = -1.0 - rho["1"] - rho["2"] - rho["-2"]
+    return spec_from_dict(doc)
+
+
+def test_alpha_sum_roundoff_triggers_at_zero_tolerance():
+    # alpha carries the roundoff of its two weights, so a size of |g alpha|
+    # alone misses some of these specs
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        rep = conditions(_alpha_sums_cancel(rng), 0.0)
+        assert rep.verdicts["ii-x"] and rep.verdicts["ii-v"]
+
+    rep = conditions(alpha_roundoff_spec(), 0.0)
+    assert rep.case_values["gain_weighted_alpha_x"] > 0.0
+    assert rep.verdicts == {"i": False, "ii-x": True, "ii-v": False, "iii": False}
+    # 6e-13 is beyond roundoff
+    assert not conditions(alpha_roundoff_spec(1.5 - 1e-12), 0.0).verdicts["ii-x"]
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
