@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ import numpy as np
 from . import reports
 from .conditions import CONDITION_TOL, Overall, conditions
 from .errors import BlowUp, FlockstabError
-from .figures import FIGURE_RUNS
+from .figures import FIGURE_RUNS, PUBLISHED_TOLERANCE
 from .model import BoundaryCondition, load_spec
 from .rootcurves import (
+    DEFAULT_GRID,
     branch_curvature,
     orthogonality_angle,
     right_angle_deviation,
@@ -126,19 +128,8 @@ def cmd_rootcurves(args) -> int:
         "curvature": {"re": c.real, "im": c.imag},
         "branch_angle_deg": angle,
         "right_angle_deviation_deg": right_angle_deviation(angle),
-        "tangency": {
-            curve.branch.name.lower(): {
-                "decades": list(rep.decades),
-                "decade_sups": list(rep.decade_sups),
-                "final_ratio": rep.final_ratio,
-                "monotone": rep.monotone,
-                "passed": rep.passed,
-            }
-            for curve, rep in (
-                (plus, tangency_report(plus, c)),
-                (minus, tangency_report(minus, c)),
-            )
-        },
+        "tangency": {curve.branch.name.lower(): asdict(tangency_report(curve, c))
+                     for curve in (plus, minus)},
     }
     reports.write_json(json_path, payload)
     print(f"c = {c:.6g}; branch angle {angle:.2f} deg "
@@ -157,7 +148,7 @@ def cmd_reproduce(args) -> int:
     report: dict = {
         "figure": run.figure,
         "conditions": cond.to_dict(),
-        "tolerance": run.tolerance,
+        "tolerance": PUBLISHED_TOLERANCE,
     }
 
     if run.kind == "scan":
@@ -192,8 +183,8 @@ def cmd_reproduce(args) -> int:
                 "published": {"magnitude": run.published_magnitude,
                               "time": run.published_time},
                 "relative_error": {"magnitude": mag_err, "time": time_err},
-                "within_tolerance": mag_err <= run.tolerance
-                and time_err <= run.tolerance,
+                "within_tolerance": mag_err <= PUBLISHED_TOLERANCE
+                and time_err <= PUBLISHED_TOLERANCE,
             })
         else:
             report.update({"published": None, "within_tolerance": None})
@@ -255,9 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rootcurves", help="track the two small mode-polynomial roots")
     spec_arg(p)
-    p.add_argument("--phi-min", type=float, default=1e-6)
-    p.add_argument("--phi-max", type=float, default=1e-1)
-    p.add_argument("--phi-points", type=int, default=60)
+    phi_min, phi_max, phi_points = DEFAULT_GRID
+    p.add_argument("--phi-min", type=float, default=phi_min)
+    p.add_argument("--phi-max", type=float, default=phi_max)
+    p.add_argument("--phi-points", type=int, default=phi_points)
     out_args(p)
     p.set_defaults(func=cmd_rootcurves)
 

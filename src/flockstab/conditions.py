@@ -37,7 +37,7 @@ class ConditionClause:
     id: str
     value: float
     triggered: bool
-    note: str = ""
+    note: str
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ class ConditionReport:
     def to_dict(self) -> dict:
         return {
             "clauses": [
-                {"id": c.id, "value": c.value, "triggered": c.triggered,
-                 **({"note": c.note} if c.note else {})}
+                {"id": c.id, "value": c.value, "triggered": c.triggered, "note": c.note}
                 for c in self.clauses
             ],
             "case_values": dict(self.case_values),

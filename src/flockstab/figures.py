@@ -8,6 +8,7 @@ completed from the sum-to--1 constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import AgentParams, Arrangement, BoundaryCondition, FlockSpec, build_spec
 
@@ -91,24 +92,24 @@ def figure3c() -> FlockSpec:
     )
 
 
+#: relative error allowed on the published extremum's magnitude and time
+PUBLISHED_TOLERANCE = 0.02
+
+
 @dataclass(frozen=True)
 class FigureRun:
     """One reproduction target: fixture, run settings, published extremum."""
 
     figure: str
-    spec_factory: object
+    spec: Callable[[], FlockSpec]
     kind: str  # "simulate" or "scan"
     n: int
-    bc: BoundaryCondition | None
+    bc: BoundaryCondition
     dt: float
     t_max: float | None
     published_magnitude: float | None = None
     published_time: float | None = None
     n_values: tuple[int, ...] | None = None
-    tolerance: float = 0.02
-
-    def spec(self) -> FlockSpec:
-        return self.spec_factory()
 
 
 FIGURE_RUNS = {

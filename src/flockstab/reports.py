@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON/SVG emission for all analyses.
 
-Identical inputs produce byte-identical files: CSV numbers are printed
-with 17 significant digits, JSON floats round-trip exactly, and row
-ordering is fixed by construction.
+Identical inputs produce byte-identical files: every CSV goes through the
+one writer :func:`write_csv`, which prints each number with ``%.17g``
+(17 significant digits, so it round-trips), JSON floats round-trip
+exactly, and row ordering is fixed by construction.
 """
 
 from __future__ import annotations
@@ -17,20 +18,12 @@ from .simulation import ScanResult, Trajectory
 from .spectral import Spectrum
 from .svg import Series, render_plot
 
-FLOAT_FMT = ".17g"
 
-
-def fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), FLOAT_FMT)
-    return str(value)
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], row_fmt: str, rows: Iterable[tuple]) -> None:
+    """The header line, then ``row_fmt % row`` for each row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(row_fmt % row for row in rows)
 
 
 def canon(obj):
@@ -65,9 +58,8 @@ def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     rows = zip(np.repeat(np.arange(n), d).tolist(),
                np.repeat(spectrum.phis, d).tolist(), roots.real.tolist(),
                roots.imag.tolist(), spectrum.residuals.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("m,phi,re,im,residual\n")
-        fh.writelines("%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+    write_csv(path, ("m", "phi", "re", "im", "residual"),
+              "%d,%.17g,%.17g,%.17g,%.17g\n", rows)
 
 
 # --- trajectories ------------------------------------------------------------
@@ -79,22 +71,18 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
         + [f"z_{k + 1}" for k in range(n)]
         + [f"v_{k + 1}" for k in range(n)]
     )
-    # '%.17g' % x == format(x, FLOAT_FMT) for every float, so the bytes
-    # match write_csv; one template per row avoids a fmt call per value
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            row_fmt % (t, *state.tolist())
-            for t, state in zip(traj.times.tolist(), traj.states)
-        )
+    rows = ((t, *state.tolist()) for t, state in zip(traj.times.tolist(), traj.states))
+    write_csv(path, header, ",".join(["%.17g"] * len(header)) + "\n", rows)
 
 
-def trajectory_svg(traj: Trajectory, max_agents: int = 40) -> str:
+_MAX_PLOTTED_AGENTS = 40
+
+
+def trajectory_svg(traj: Trajectory) -> str:
     """Leader-relative deviations over time, one polyline per sampled agent."""
     dev = traj.deviations()
     n = traj.n_agents
-    step = max(1, int(np.ceil(n / max_agents)))
+    step = max(1, int(np.ceil(n / _MAX_PLOTTED_AGENTS)))
     series = [
         Series(traj.times, dev[:, k]) for k in range(0, n, step)
     ]
@@ -108,18 +96,18 @@ def trajectory_svg(traj: Trajectory, max_agents: int = 40) -> str:
 
 # --- scans -------------------------------------------------------------------
 
+def _optional(value) -> str:
+    return "" if value is None else "%.17g" % value
+
+
 def write_scan_csv(path, scan: ScanResult) -> None:
-    rows = [
-        (
-            p.n_agents,
-            "" if p.magnitude is None else p.magnitude,
-            "" if p.log_abs_magnitude is None else p.log_abs_magnitude,
-            int(p.censored),
-            "" if p.blowup_time is None else p.blowup_time,
-        )
+    rows = (
+        (p.n_agents, _optional(p.magnitude), _optional(p.log_abs_magnitude),
+         p.censored, _optional(p.blowup_time))
         for p in scan.points
-    ]
-    write_csv(path, ("N", "magnitude", "log_abs_magnitude", "censored", "blowup_time"), rows)
+    )
+    write_csv(path, ("N", "magnitude", "log_abs_magnitude", "censored", "blowup_time"),
+              "%d,%s,%s,%d,%s\n", rows)
 
 
 def scan_svg(scan: ScanResult) -> str:
@@ -151,11 +139,8 @@ def write_rootcurves_csv(path, plus: RootCurve, minus: RootCurve, c: complex) ->
                 (t, curve.branch.name.lower(), root.real, root.imag,
                  pred.real, pred.imag, ratio)
             )
-    write_csv(
-        path,
-        ("t", "branch", "re", "im", "predicted_re", "predicted_im", "ratio"),
-        rows,
-    )
+    write_csv(path, ("t", "branch", "re", "im", "predicted_re", "predicted_im", "ratio"),
+              "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
 
 
 def rootcurves_svg(plus: RootCurve, minus: RootCurve, c: complex) -> str:

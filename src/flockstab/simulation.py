@@ -105,10 +105,10 @@ def simulate(
     max-norm crosses the overflow guard (the expected outcome for
     genuinely unstable parameter sets).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_max < dt:
-        raise ValueError("t_max must be at least one step")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not dt <= t_max < np.inf:
+        raise ValueError(f"t_max must be finite and at least one step, got {t_max}")
     system = assemble_line(spec, n, bc)
     n_agents = system.n_agents
 

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PALETTE = (
+_PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
 
+_WIDTH, _HEIGHT = 880, 540
 _MARGIN = (64, 24, 46, 20)  # left, right, bottom, top
 
 
@@ -19,7 +20,6 @@ class Series:
     x: np.ndarray
     y: np.ndarray
     label: str = ""
-    color: str | None = None
     points: bool = False
     dashed: bool = False
 
@@ -32,14 +32,8 @@ def _limits(values: np.ndarray) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def render_plot(
-    series: list[Series],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 880,
-    height: int = 540,
-) -> str:
+def render_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
+    width, height = _WIDTH, _HEIGHT
     left, right, bottom, top = _MARGIN
     plot_w, plot_h = width - left - right, height - top - bottom
     xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
@@ -73,25 +67,18 @@ def render_plot(
             f'<line x1="{left - 4}" y1="{y:.1f}" x2="{left}" y2="{y:.1f}" stroke="#333"/>'
             f'<text x="{left - 7}" y="{y + 4:.1f}" text-anchor="end">{t:.4g}</text>'
         )
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="15" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {top + plot_h / 2:.0f})">{ylabel}</text>'
-        )
+    parts += [
+        f'<text x="{width / 2:.0f}" y="15" text-anchor="middle" '
+        f'font-size="14">{title}</text>',
+        f'<text x="{left + plot_w / 2:.0f}" y="{height - 6}" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text x="14" y="{top + plot_h / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {top + plot_h / 2:.0f})">{ylabel}</text>',
+    ]
 
     legend_y = top + 14
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         x = np.asarray(s.x, dtype=float)
         y = np.asarray(s.y, dtype=float)
         if s.points:

@@ -93,6 +93,20 @@ def test_bad_tolerance_is_an_input_error(tmp_path, fig1_path, capsys, argv):
     assert not (out / "verdict.json").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate", "--n", "3"], ["scan", "--N-list", "9"]],
+                         ids=["simulate", "scan"])
+@pytest.mark.parametrize("flag, name", [("--dt", "dt"), ("--tmax", "t_max")],
+                         ids=["dt", "tmax"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_step_or_horizon_is_an_input_error(tmp_path, fig1_path, capsys,
+                                                      command, flag, name, value):
+    out = tmp_path / "out"
+    assert main([*command, flag, value, "--spec", str(fig1_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must")
+    assert err.endswith(f"got {value}\n")
+
+
 def test_check_writes_report(tmp_path, fig1_path):
     out = tmp_path / "out"
     assert main(["check", "--spec", str(fig1_path), "--out", str(out)]) == 0

@@ -193,6 +193,18 @@ def test_simulate_argument_validation(fig1):
         simulate(fig1, 4, BC1, 10.0, 0.01, initial_state=np.zeros(7))
 
 
+@pytest.mark.parametrize(
+    "t_max, dt, bad",
+    [(10.0, np.inf, "dt"), (10.0, np.nan, "dt"), (10.0, -np.inf, "dt"),
+     (np.inf, 0.01, "t_max"), (np.nan, 0.01, "t_max")],
+    ids=["dt-inf", "dt-nan", "dt-neg-inf", "tmax-inf", "tmax-nan"],
+)
+def test_simulate_refuses_non_finite_step_and_horizon(fig1, t_max, dt, bad):
+    value = dt if bad == "dt" else t_max
+    with pytest.raises(ValueError, match=f"^{bad} .*got {value}$"):
+        simulate(fig1, 4, BC1, t_max, dt)
+
+
 def test_trajectory_storage_grid(fig1):
     traj = simulate(fig1, 4, BC1, 10.0, 0.01)
     assert traj.times[0] == 0.0
