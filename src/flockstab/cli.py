@@ -14,8 +14,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import reports
 from .conditions import CONDITION_TOL, Overall, conditions
 from .errors import BlowUp, FlockstabError
@@ -23,6 +21,7 @@ from .figures import FIGURE_RUNS, PUBLISHED_TOLERANCE
 from .model import BoundaryCondition, load_spec
 from .rootcurves import (
     DEFAULT_GRID,
+    angle_grid,
     branch_curvature,
     orthogonality_angle,
     right_angle_deviation,
@@ -118,7 +117,7 @@ def cmd_rootcurves(args) -> int:
     csv_path, svg_path, json_path = _claim(
         args.out, args.force, "rootcurves.csv", "rootcurves.svg", "rootcurves.json"
     )
-    grid = np.geomspace(args.phi_min, args.phi_max, args.phi_points)
+    grid = angle_grid(args.phi_min, args.phi_max, args.phi_points)
     c = branch_curvature(spec)
     plus, minus = track_branches(spec, grid)
     reports.write_rootcurves_csv(csv_path, plus, minus, c)

@@ -58,9 +58,22 @@ class TangencyReport:
     passed: bool
 
 
+def angle_grid(phi_min: float, phi_max: float, phi_points: int) -> np.ndarray:
+    """``phi_points`` geometric angles from ``phi_min`` to ``phi_max``.
+
+    Requires 0 < phi_min < phi_max < inf and at least two points.
+    """
+    if not 0.0 < phi_min < np.inf:
+        raise ValueError(f"phi_min must be positive and finite, got {phi_min}")
+    if not phi_min < phi_max < np.inf:
+        raise ValueError(f"phi_max must be finite and above phi_min, got {phi_max}")
+    if phi_points < 2:
+        raise ValueError(f"phi_points must be at least 2, got {phi_points}")
+    return np.geomspace(phi_min, phi_max, phi_points)
+
+
 def default_grid() -> np.ndarray:
-    lo, hi, count = DEFAULT_GRID
-    return np.geomspace(lo, hi, count)
+    return angle_grid(*DEFAULT_GRID)
 
 
 def branch_curvature(spec: FlockSpec) -> complex:

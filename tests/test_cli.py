@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -105,6 +106,44 @@ def test_non_finite_step_or_horizon_is_an_input_error(tmp_path, fig1_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must")
     assert err.endswith(f"got {value}\n")
+
+
+def test_simulate_tiny_step_stores_only_the_start(tmp_path, fig2_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(fig2_path), "--n", "3", "--dt", "1e-300",
+                 "--tmax", "1e-299", "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[0] == "0"
+
+
+def test_scan_empty_size_list_is_an_input_error(tmp_path, fig1_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scan", "--spec", str(fig1_path), "--N-list", ",",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: N_values is empty")
+    assert not (out / "scan.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--phi-min", "nan", "phi_min"), ("--phi-min", "0", "phi_min"),
+     ("--phi-max", "inf", "phi_max"), ("--phi-max", "1e-7", "phi_max"),
+     ("--phi-points", "1", "phi_points")],
+)
+def test_rootcurves_bad_grid_is_an_input_error(tmp_path, fig2_path, capsys,
+                                               flag, value, name):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["rootcurves", "--spec", str(fig2_path), flag, value,
+                   "--out", str(out)])
+    assert rc == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must")
+    assert "RuntimeWarning" not in err
+    assert not (out / "rootcurves.csv").exists()
 
 
 def test_check_writes_report(tmp_path, fig1_path):

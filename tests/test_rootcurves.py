@@ -17,11 +17,29 @@ from flockstab import (
     track_branches,
     track_polynomial_branches,
 )
-from flockstab.rootcurves import default_grid
+from flockstab.rootcurves import DEFAULT_GRID, angle_grid, default_grid
 
 
 def _grid(lo=1e-6, hi=1e-1, count=60):
     return np.geomspace(lo, hi, count)
+
+
+@pytest.mark.parametrize(
+    "grid, bad",
+    [((np.nan, 1e-1, 60), "phi_min"), ((0.0, 1e-1, 60), "phi_min"),
+     ((-1e-6, 1e-1, 60), "phi_min"), ((np.inf, np.inf, 60), "phi_min"),
+     ((1e-6, np.inf, 60), "phi_max"), ((1e-6, np.nan, 60), "phi_max"),
+     ((1e-1, 1e-6, 60), "phi_max"), ((1e-6, 1e-6, 60), "phi_max"),
+     ((1e-6, 1e-1, 1), "phi_points")],
+)
+def test_angle_grid_refuses_bad_bounds(grid, bad):
+    value = grid[("phi_min", "phi_max", "phi_points").index(bad)]
+    with pytest.raises(ValueError, match=f"^{bad} .*got {value}$"):
+        angle_grid(*grid)
+
+
+def test_default_grid_is_the_angle_grid():
+    assert np.array_equal(default_grid(), np.geomspace(*DEFAULT_GRID))
 
 
 # --- quadratic toys ----------------------------------------------------------

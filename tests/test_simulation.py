@@ -13,7 +13,7 @@ from flockstab import (
 )
 from flockstab.figures import figure1, figure3
 from flockstab.model import assemble_line
-from flockstab.simulation import _BLOCK_STEPS, BLOWUP_GUARD, STORE_SPACING
+from flockstab.simulation import _BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING
 from conftest import random_diatomic, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -73,23 +73,64 @@ _REFERENCE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("dt", [0.01, 0.007])  # stride 15 does not divide the block
-@pytest.mark.parametrize(
-    "steps",
-    [1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 7],
-)
-@pytest.mark.parametrize("bc", [BC1, BC2])
-@pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
-def test_step_matrix_matches_four_stage_reference(name, bc, steps, dt):
-    make, n = _REFERENCE_SPECS[name]
-    spec = make()
-    states, peak, peak_t, peak_agent = _four_stage_reference(spec, n, bc, steps, dt)
-    traj = simulate(spec, n, bc, steps * dt, dt)
+_BATCH = _COLUMNS * _BLOCK_STEPS  # steps per batch of columns
+
+
+def _assert_matches_reference(spec, n, bc, steps, dt, initial_state=None):
+    states, peak, peak_t, peak_agent = _four_stage_reference(
+        spec, n, bc, steps, dt, initial_state=initial_state
+    )
+    traj = simulate(spec, n, bc, steps * dt, dt, initial_state=initial_state)
     assert traj.states.shape == states.shape
     assert np.abs(traj.states - states).max() <= 1e-11 * np.abs(states).max()
     assert traj.peak_time == peak_t
     assert traj.peak_agent == peak_agent
     assert traj.peak_deviation == pytest.approx(peak, rel=1e-11)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.007])  # stride 15 does not divide the block
+@pytest.mark.parametrize(
+    "steps",
+    [1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 7,
+     _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 7],
+)
+@pytest.mark.parametrize("bc", [BC1, BC2])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
+def test_step_matrix_matches_four_stage_reference(name, bc, steps, dt):
+    make, n = _REFERENCE_SPECS[name]
+    _assert_matches_reference(make(), n, bc, steps, dt)
+
+
+def test_three_batch_horizon_matches_four_stage_reference():
+    _assert_matches_reference(figure1(), 20, BC1, 3 * _BATCH + 5, 0.01)
+
+
+def test_extremum_ties_go_to_the_first_agent():
+    # uncoupled (zero gains), agents 1 and 2 drift at +1 and -1: their
+    # |deviations| tie exactly in every row, and the peak must stay with agent 1
+    spec = build_spec(
+        Arrangement.TRIATOMIC_NN,
+        [{"g_x": 0.0, "g_v": 0.0,
+          "rho_x": {"1": -0.5, "-1": -0.5},
+          "rho_v": {"1": -0.5, "-1": -0.5}}] * 3,
+    )
+    y0 = np.zeros(24)
+    y0[13], y0[14] = 1.0, -1.0
+    _assert_matches_reference(spec, 4, BC1, _BATCH + 7, 0.01, initial_state=y0)
+
+
+def test_guard_crossing_in_padding_is_not_a_blowup():
+    # kick 1 crosses the guard at step 2299; 2297 steps end two steps short,
+    # inside the last batch's padded column
+    steps, crossing = 2297, 2299
+    assert steps < crossing <= -(-steps // _BLOCK_STEPS) * _BLOCK_STEPS
+    assert steps % _BATCH > _BLOCK_STEPS  # the last batch has several columns
+    y0 = np.zeros(24)
+    y0[12] = 1.0
+    with pytest.raises(BlowUp) as err:
+        simulate(_unstable_spec(), 4, BC1, crossing * 0.01, 0.01, initial_state=y0)
+    assert err.value.time == crossing * 0.01
+    _assert_matches_reference(_unstable_spec(), 4, BC1, steps, 0.01, initial_state=y0)
 
 
 @pytest.mark.parametrize("kick", [1.0, 5.0])
@@ -205,6 +246,14 @@ def test_simulate_refuses_non_finite_step_and_horizon(fig1, t_max, dt, bad):
         simulate(fig1, 4, BC1, t_max, dt)
 
 
+def test_tiny_step_stores_only_the_start(fig2):
+    # the stride ceil(0.1 / dt) ~ 1e299 is clamped to steps + 1
+    traj = simulate(fig2, 3, BC1, 1e-299, 1e-300)
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.shape == (1, 18)
+    assert traj.states[0, 9] == 1.0
+
+
 def test_trajectory_storage_grid(fig1):
     traj = simulate(fig1, 4, BC1, 10.0, 0.01)
     assert traj.times[0] == 0.0
@@ -217,6 +266,11 @@ def test_trajectory_storage_grid(fig1):
 def test_scan_divisibility_checked(fig1):
     with pytest.raises(SizeError):
         scan_N(fig1, BC1, [10])
+
+
+def test_scan_refuses_empty_size_list(fig1):
+    with pytest.raises(SizeError, match="empty"):
+        scan_N(fig1, BC1, [])
 
 
 def test_scan_single_point_reports_fit_error(fig1):
