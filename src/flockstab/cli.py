@@ -4,6 +4,13 @@ Loads flock specs from JSON, dispatches the analyses, and emits
 deterministic CSV/JSON reports and SVG plots.  Exit codes: 0 on success
 (for ``check``: necessary conditions hold), 2 when ``check`` certifies
 instability, 1 on any input or usage error.
+
+A ``cmd_*`` function only computes: it returns ``(files, summary, code)``,
+where ``files`` maps an output name under ``--out`` to a CSV writer taking
+the path, SVG text, or a JSON dict.  :func:`main` runs every command alike:
+load ``--spec``, refuse every output the command may write that exists
+(unless ``--force``), create the directory, run, write the returned files,
+print the summary.
 """
 
 from __future__ import annotations
@@ -32,166 +39,117 @@ from .simulation import scan_N, simulate, transient
 from .spectral import CLASSIFY_TOL, classify, spectrum_periodic
 
 
-def _claim(out: Path, force: bool, *names: str) -> list[Path]:
-    """The command's output paths, all refused before any work unless --force.
-
-    The directory is created only once every path is free.
-    """
-    paths = [out / name for name in names]
-    for path in paths:
-        if path.exists() and not force:
-            raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
-    return paths
-
-
-def _write_trajectory(csv_path: Path, svg_path: Path, traj) -> None:
-    reports.write_trajectory_csv(csv_path, traj)
-    svg_path.write_text(reports.trajectory_svg(traj), encoding="utf-8")
-
-
-def _write_scan(csv_path: Path, svg_path: Path, result) -> None:
-    reports.write_scan_csv(csv_path, result)
-    svg_path.write_text(reports.scan_svg(result), encoding="utf-8")
-
-
-def cmd_check(args) -> int:
-    spec = load_spec(args.spec)
-    paths = [] if args.out is None else _claim(args.out, args.force, "conditions.json")
-    report = conditions(spec, tol=args.tol)
-    payload = report.to_dict()
-    print(json.dumps(reports.canon(payload), indent=2))
-    for path in paths:
-        reports.write_json(path, payload)
-    return 0 if report.overall is Overall.NECESSARY_CONDITIONS_HOLD else 2
-
-
-def cmd_spectrum(args) -> int:
-    spec = load_spec(args.spec)
-    csv_path, json_path = _claim(args.out, args.force, "spectrum.csv", "verdict.json")
-    spectrum = spectrum_periodic(spec, args.n)
-    verdict = classify(spectrum, tol=args.tol)
-    reports.write_spectrum_csv(csv_path, spectrum)
-    reports.write_json(json_path, verdict.to_dict())
-    print(f"{verdict.status.value}: max Re = {verdict.max_real_part:.6g}, "
-          f"zero multiplicity {verdict.zero_multiplicity}")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    spec = load_spec(args.spec)
-    t_max = args.tmax if args.tmax is not None else 3.0 * spec.n_types * args.n
-    csv_path, json_path, svg_path = _claim(
-        args.out, args.force, "trajectory.csv", "transient.json", "trajectory.svg"
-    )
+def _simulation(spec, n, bc, t_max, dt):
+    """The trajectory files and transient report of one line run, or its BlowUp."""
     try:
-        traj = simulate(spec, args.n, BoundaryCondition(args.bc), t_max, args.dt)
+        traj = simulate(spec, n, bc, t_max, dt)
     except BlowUp as blow:
-        reports.write_json(json_path, {"blew_up": True, "time": blow.time,
-                                       "norm": blow.norm})
-        print(f"blow-up at t={blow.time:.4f}")
-        return 0
-    rep = transient(traj)
-    _write_trajectory(csv_path, svg_path, traj)
-    reports.write_json(json_path, {"blew_up": False, **rep.to_dict()})
-    print(f"magnitude {rep.magnitude:.6g} at t={rep.time_at_extremum:.4f} "
-          f"(agent {rep.agent_at_extremum}, converged={rep.converged})")
-    return 0
+        return {}, blow
+    return {"trajectory.csv": lambda path: reports.write_trajectory_csv(path, traj),
+            "trajectory.svg": reports.trajectory_svg(traj)}, transient(traj)
 
 
-def cmd_scan(args) -> int:
-    spec = load_spec(args.spec)
+def _scan(spec, bc, n_values, dt, t_max=None):
+    """The N-scan result and its files."""
+    result = scan_N(spec, bc, n_values, dt=dt, t_max=t_max)
+    return result, {"scan.csv": lambda path: reports.write_scan_csv(path, result),
+                    "scan.svg": reports.scan_svg(result)}
+
+
+def cmd_check(args):
+    report = conditions(args.spec, tol=args.tol)
+    payload = report.to_dict()
+    files = {} if args.out is None else {"conditions.json": payload}
+    code = 0 if report.overall is Overall.NECESSARY_CONDITIONS_HOLD else 2
+    return files, json.dumps(reports.canon(payload), indent=2), code
+
+
+def cmd_spectrum(args):
+    spectrum = spectrum_periodic(args.spec, args.n)
+    verdict = classify(spectrum, tol=args.tol)
+    files = {"spectrum.csv": lambda path: reports.write_spectrum_csv(path, spectrum),
+             "verdict.json": verdict.to_dict()}
+    return files, (f"{verdict.status.value}: max Re = {verdict.max_real_part:.6g}, "
+                   f"zero multiplicity {verdict.zero_multiplicity}"), 0
+
+
+def cmd_simulate(args):
+    t_max = args.tmax if args.tmax is not None else 3.0 * args.spec.n_types * args.n
+    files, rep = _simulation(args.spec, args.n, BoundaryCondition(args.bc), t_max, args.dt)
+    if isinstance(rep, BlowUp):
+        files["transient.json"] = {"blew_up": True, "time": rep.time, "norm": rep.norm}
+        return files, f"blow-up at t={rep.time:.4f}", 0
+    files["transient.json"] = {"blew_up": False, **rep.to_dict()}
+    return files, (f"magnitude {rep.magnitude:.6g} at t={rep.time_at_extremum:.4f} "
+                   f"(agent {rep.agent_at_extremum}, converged={rep.converged})"), 0
+
+
+def cmd_scan(args):
     n_values = [int(v) for v in args.N_list.split(",") if v.strip()]
-    csv_path, json_path, svg_path = _claim(
-        args.out, args.force, "scan.csv", "scan.json", "scan.svg"
-    )
-    result = scan_N(spec, BoundaryCondition(args.bc), n_values, dt=args.dt, t_max=args.tmax)
-    _write_scan(csv_path, svg_path, result)
-    reports.write_json(json_path, result.to_dict())
-    print(f"slope {result.slope:.6g}, R^2 {result.r_squared:.4f}")
-    return 0
+    result, files = _scan(args.spec, BoundaryCondition(args.bc), n_values, args.dt, args.tmax)
+    files["scan.json"] = result.to_dict()
+    return files, f"slope {result.slope:.6g}, R^2 {result.r_squared:.4f}", 0
 
 
-def cmd_rootcurves(args) -> int:
-    spec = load_spec(args.spec)
-    csv_path, svg_path, json_path = _claim(
-        args.out, args.force, "rootcurves.csv", "rootcurves.svg", "rootcurves.json"
-    )
+def cmd_rootcurves(args):
     grid = angle_grid(args.phi_min, args.phi_max, args.phi_points)
-    c = branch_curvature(spec)
-    plus, minus = track_branches(spec, grid)
-    reports.write_rootcurves_csv(csv_path, plus, minus, c)
-    svg_path.write_text(reports.rootcurves_svg(plus, minus, c), encoding="utf-8")
+    c = branch_curvature(args.spec)
+    plus, minus = track_branches(args.spec, grid)
     angle = orthogonality_angle(plus, minus)
-    payload = {
-        "curvature": {"re": c.real, "im": c.imag},
-        "branch_angle_deg": angle,
-        "right_angle_deviation_deg": right_angle_deviation(angle),
-        "tangency": {curve.branch.name.lower(): asdict(tangency_report(curve, c))
-                     for curve in (plus, minus)},
+    files = {
+        "rootcurves.csv": lambda path: reports.write_rootcurves_csv(path, plus, minus, c),
+        "rootcurves.svg": reports.rootcurves_svg(plus, minus, c),
+        "rootcurves.json": {
+            "curvature": {"re": c.real, "im": c.imag},
+            "branch_angle_deg": angle,
+            "right_angle_deviation_deg": right_angle_deviation(angle),
+            "tangency": {curve.branch.name.lower(): asdict(tangency_report(curve, c))
+                         for curve in (plus, minus)},
+        },
     }
-    reports.write_json(json_path, payload)
-    print(f"c = {c:.6g}; branch angle {angle:.2f} deg "
-          f"(off right angles by {right_angle_deviation(angle):.3f} deg)")
-    return 0
+    return files, (f"c = {c:.6g}; branch angle {angle:.2f} deg "
+                   f"(off right angles by {right_angle_deviation(angle):.3f} deg)"), 0
 
 
-def cmd_reproduce(args) -> int:
+def _reproduce_outputs(args) -> list[str]:
     run = FIGURE_RUNS[args.figure]
     stem = "scan" if run.kind == "scan" else "trajectory"
-    csv_path, svg_path, json_path = _claim(
-        args.out / run.figure, args.force, f"{stem}.csv", f"{stem}.svg", "report.json"
-    )
-    spec = run.spec()
-    cond = conditions(spec)
-    report: dict = {
-        "figure": run.figure,
-        "conditions": cond.to_dict(),
-        "tolerance": PUBLISHED_TOLERANCE,
-    }
+    return [f"{run.figure}/{name}" for name in (f"{stem}.csv", f"{stem}.svg", "report.json")]
 
+
+def cmd_reproduce(args):
+    run = FIGURE_RUNS[args.figure]
+    spec = run.spec()
+    report: dict = {"figure": run.figure, "conditions": conditions(spec).to_dict(),
+                    "tolerance": PUBLISHED_TOLERANCE}
     if run.kind == "scan":
-        result = scan_N(spec, run.bc, list(run.n_values), dt=run.dt)
-        _write_scan(csv_path, svg_path, result)
-        passed = result.slope > 0.0 and result.r_squared > 0.9
+        result, files = _scan(spec, run.bc, list(run.n_values), run.dt)
         report.update({
             "computed": result.to_dict(),
             "published": "exponential growth of |magnitude| with N",
-            "within_tolerance": passed,
+            "within_tolerance": result.slope > 0.0 and result.r_squared > 0.9,
         })
     else:
-        try:
-            traj = simulate(spec, run.n, run.bc, run.t_max, run.dt)
-        except BlowUp as blow:
-            report.update({"blew_up": True, "time": blow.time,
+        files, rep = _simulation(spec, run.n, run.bc, run.t_max, run.dt)
+        if isinstance(rep, BlowUp):
+            report.update({"blew_up": True, "time": rep.time, "within_tolerance": None})
+        elif run.published_magnitude is None:
+            report.update({"computed": rep.to_dict(), "published": None,
                            "within_tolerance": None})
-            reports.write_json(json_path, report)
-            print(f"{run.figure}: blow-up at t={blow.time:.3f}")
-            return 0
-        rep = transient(traj)
-        _write_trajectory(csv_path, svg_path, traj)
-        report["computed"] = rep.to_dict()
-        if run.published_magnitude is not None:
-            mag_err = abs(rep.magnitude - run.published_magnitude) / abs(
-                run.published_magnitude
-            )
-            time_err = abs(abs(rep.time_at_extremum) - abs(run.published_time)) / abs(
-                run.published_time
-            )
-            report.update({
-                "published": {"magnitude": run.published_magnitude,
-                              "time": run.published_time},
-                "relative_error": {"magnitude": mag_err, "time": time_err},
-                "within_tolerance": mag_err <= PUBLISHED_TOLERANCE
-                and time_err <= PUBLISHED_TOLERANCE,
-            })
         else:
-            report.update({"published": None, "within_tolerance": None})
-
-    reports.write_json(json_path, report)
-    status = report["within_tolerance"]
-    print(f"{run.figure}: within_tolerance={status}")
-    return 0
+            mag, time = run.published_magnitude, run.published_time
+            errors = {"magnitude": abs(rep.magnitude - mag) / abs(mag),
+                      "time": abs(abs(rep.time_at_extremum) - abs(time)) / abs(time)}
+            report.update({
+                "computed": rep.to_dict(),
+                "published": {"magnitude": mag, "time": time},
+                "relative_error": errors,
+                "within_tolerance": all(e <= PUBLISHED_TOLERANCE for e in errors.values()),
+            })
+    files["report.json"] = report
+    summary = (f"{run.figure}: blow-up at t={report['time']:.3f}" if "blew_up" in report
+               else f"{run.figure}: within_tolerance={report['within_tolerance']}")
+    return {f"{run.figure}/{name}": content for name, content in files.items()}, summary, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,61 +159,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def spec_arg(p):
-        p.add_argument("--spec", type=Path, required=True, help="flock spec JSON")
-
-    def out_args(p, required=True):
-        p.add_argument("--out", type=Path, required=required,
+    def command(name, func, outputs, help, spec=True, out_required=True):
+        """A subcommand with the shared flags; ``outputs`` names every file it may write."""
+        p = sub.add_parser(name, help=help)
+        if spec:
+            p.add_argument("--spec", type=Path, required=True, help="flock spec JSON")
+        p.add_argument("--out", type=Path, required=out_required,
                        help="output directory (created if absent)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
+        p.set_defaults(func=func, outputs=outputs)
+        return p
 
-    p = sub.add_parser("check", help="evaluate the instability certificates")
-    spec_arg(p)
+    p = command("check", cmd_check, ("conditions.json",),
+                "evaluate the instability certificates", out_required=False)
     p.add_argument("--tol", type=float, default=CONDITION_TOL)
-    out_args(p, required=False)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("spectrum", help="per-mode spectrum and stability verdict")
-    spec_arg(p)
+    p = command("spectrum", cmd_spectrum, ("spectrum.csv", "verdict.json"),
+                "per-mode spectrum and stability verdict")
     p.add_argument("--n", type=int, required=True, help="cells per agent type")
     p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
-    out_args(p)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("simulate", help="line simulation from the leader kick")
-    spec_arg(p)
+    p = command("simulate", cmd_simulate,
+                ("trajectory.csv", "transient.json", "trajectory.svg"),
+                "line simulation from the leader kick")
     p.add_argument("--n", type=int, required=True, help="cells per agent type")
     p.add_argument("--bc", type=int, choices=(1, 2), default=1)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--tmax", type=float, default=None)
-    out_args(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("scan", help="transient magnitude vs flock size")
-    spec_arg(p)
+    p = command("scan", cmd_scan, ("scan.csv", "scan.json", "scan.svg"),
+                "transient magnitude vs flock size")
     p.add_argument("--bc", type=int, choices=(1, 2), default=1)
     p.add_argument("--N-list", dest="N_list", required=True,
                    help="comma-separated total vehicle counts")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--tmax", type=float, default=None,
                    help="fixed horizon (default 3N per run)")
-    out_args(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("rootcurves", help="track the two small mode-polynomial roots")
-    spec_arg(p)
+    p = command("rootcurves", cmd_rootcurves,
+                ("rootcurves.csv", "rootcurves.svg", "rootcurves.json"),
+                "track the two small mode-polynomial roots")
     phi_min, phi_max, phi_points = DEFAULT_GRID
     p.add_argument("--phi-min", type=float, default=phi_min)
     p.add_argument("--phi-max", type=float, default=phi_max)
     p.add_argument("--phi-points", type=int, default=phi_points)
-    out_args(p)
-    p.set_defaults(func=cmd_rootcurves)
 
-    p = sub.add_parser("reproduce", help="rerun a bundled reference configuration")
+    p = command("reproduce", cmd_reproduce, _reproduce_outputs,
+                "rerun a bundled reference configuration", spec=False)
     p.add_argument("figure", choices=sorted(FIGURE_RUNS))
-    out_args(p)
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
@@ -263,7 +215,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "spec" in args:  # a bad spec must leave no directory behind
+            args.spec = load_spec(args.spec)
+        names = args.outputs(args) if callable(args.outputs) else args.outputs
+        paths = {} if args.out is None else {name: args.out / name for name in names}
+        for path in paths.values():
+            if path.exists() and not args.force:
+                raise FileExistsError(f"{path} exists; pass --force to overwrite")
+        for directory in dict.fromkeys(path.parent for path in paths.values()):
+            directory.mkdir(parents=True, exist_ok=True)
+        files, summary, code = args.func(args)
+        if not files.keys() <= paths.keys():
+            raise RuntimeError(f"unclaimed outputs {sorted(files.keys() - paths.keys())}")
+        for name, content in files.items():
+            if callable(content):
+                content(paths[name])
+            elif isinstance(content, str):
+                paths[name].write_text(content, encoding="utf-8")
+            else:
+                reports.write_json(paths[name], content)
+        print(summary)
+        return code
     except (FlockstabError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -123,20 +123,19 @@ class AlphaBeta:
     """Symmetric/antisymmetric weight combinations per type and offset.
 
     ``alpha[k][j] = rho[+j] + rho[-j]`` and ``beta[k][j] = rho[+j] - rho[-j]``
-    for offset magnitudes j present in the arrangement.
+    for offset magnitudes j present in the arrangement; only the position
+    weights' beta enters the conditions.
     """
 
     alpha_x: tuple[Mapping[int, float], ...]
     beta_x: tuple[Mapping[int, float], ...]
     alpha_v: tuple[Mapping[int, float], ...]
-    beta_v: tuple[Mapping[int, float], ...]
 
 
 @dataclass(frozen=True)
 class SystemMatrix:
     """Dense first-order system matrix in block (positions, velocities) form."""
 
-    n_per_type: int
     entries: np.ndarray
 
     def __post_init__(self):
@@ -216,17 +215,14 @@ def alphas_betas(spec: FlockSpec) -> AlphaBeta:
     """Exact alpha/beta combinations of the spec's weights."""
     magnitudes = sorted({abs(j) for j in spec.arrangement.offsets})
 
-    def combine(getter):
-        alphas, betas = [], []
-        for agent in spec.agents:
-            rho = getter(agent)
-            alphas.append(MappingProxyType({j: rho[j] + rho[-j] for j in magnitudes}))
-            betas.append(MappingProxyType({j: rho[j] - rho[-j] for j in magnitudes}))
-        return tuple(alphas), tuple(betas)
+    def combine(rhos, sign: float):
+        return tuple(MappingProxyType({j: rho[j] + sign * rho[-j] for j in magnitudes})
+                     for rho in rhos)
 
-    ax, bx = combine(lambda a: a.rho_x)
-    av, bv = combine(lambda a: a.rho_v)
-    return AlphaBeta(alpha_x=ax, beta_x=bx, alpha_v=av, beta_v=bv)
+    rho_x = [agent.rho_x for agent in spec.agents]
+    rho_v = [agent.rho_v for agent in spec.agents]
+    return AlphaBeta(alpha_x=combine(rho_x, 1.0), beta_x=combine(rho_x, -1.0),
+                     alpha_v=combine(rho_v, 1.0))
 
 
 def _block_index(k, t: int, n: int):
@@ -253,7 +249,7 @@ def assemble_periodic(spec: FlockSpec, n: int) -> SystemMatrix:
         for shift, g, rho in _couplings(agent, tn):
             for j, w in ((0, 1.0), *rho.items()):
                 m[rows, shift + _block_index((k + j) % tn, t, n)] += g * w
-    return SystemMatrix(n, m)
+    return SystemMatrix(m)
 
 
 def _truncated_row(rho: Mapping[int, float], k: int, tn: int, bc: BoundaryCondition):
@@ -290,7 +286,7 @@ def assemble_line(spec: FlockSpec, n: int, bc: BoundaryCondition) -> SystemMatri
         for shift, g, rho in _couplings(agent, tn):
             for c, w in _truncated_row(rho, k, tn, bc).items():
                 m[row, shift + _block_index(c, t, n)] = g * w
-    return SystemMatrix(n, m)
+    return SystemMatrix(m)
 
 
 # --- JSON serialization ----------------------------------------------------

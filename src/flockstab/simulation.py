@@ -141,50 +141,53 @@ def simulate(
     worst = int(np.argmax(np.abs(dev)))
     peak, peak_t, peak_agent = dev[worst], 0.0, worst
 
-    p = _step_matrix(system.entries, dt)
-    q = np.linalg.matrix_power(p, _BLOCK_STEPS)
-    batch = _COLUMNS * _BLOCK_STEPS
-    cols = np.empty((_BLOCK_STEPS + 1, _COLUMNS, system.dim))
-    flat = np.empty((batch, system.dim))
-    abs_dev = np.empty((batch, n_agents))
-    done = 0  # step number of y
-    while done < steps:
-        count = min(batch, steps - done)
-        k = -(-count // _BLOCK_STEPS)  # columns this batch needs
-        # cols[j, c] is the state at step done + c * _BLOCK_STEPS + j
-        cols[0, 0] = y
-        for c in range(1, k):
-            np.dot(q, cols[0, c - 1], out=cols[0, c])
-        for j in range(_BLOCK_STEPS):
-            np.dot(cols[j, :k], p.T, out=cols[j + 1, :k])
-        np.copyto(flat[: k * _BLOCK_STEPS].reshape(k, _BLOCK_STEPS, -1),
-                  cols[1:, :k].swapaxes(0, 1))
-        # row i is step done + 1 + i; padding past t_max goes before any check
-        block = flat[:count]
+    # an out-of-region dt or an unstable flock overflows P, Q or the steps past
+    # a guard crossing; the guard reports that as a BlowUp, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _step_matrix(system.entries, dt)
+        q = np.linalg.matrix_power(p, _BLOCK_STEPS)
+        batch = _COLUMNS * _BLOCK_STEPS
+        cols = np.empty((_BLOCK_STEPS + 1, _COLUMNS, system.dim))
+        flat = np.empty((batch, system.dim))
+        abs_dev = np.empty((batch, n_agents))
+        done = 0  # step number of y
+        while done < steps:
+            count = min(batch, steps - done)
+            k = -(-count // _BLOCK_STEPS)  # columns this batch needs
+            # cols[j, c] is the state at step done + c * _BLOCK_STEPS + j
+            cols[0, 0] = y
+            for c in range(1, k):
+                np.dot(q, cols[0, c - 1], out=cols[0, c])
+            for j in range(_BLOCK_STEPS):
+                np.dot(cols[j, :k], p.T, out=cols[j + 1, :k])
+            np.copyto(flat[: k * _BLOCK_STEPS].reshape(k, _BLOCK_STEPS, -1),
+                      cols[1:, :k].swapaxes(0, 1))
+            # row i is step done + 1 + i; padding past t_max goes before any check
+            block = flat[:count]
 
-        # guard first: rows after a crossing may hold inf or nan
-        if not max(block.max(), -block.min()) <= BLOWUP_GUARD:
-            norms = np.abs(block).max(axis=1)
-            over = np.flatnonzero(norms > BLOWUP_GUARD)
-            if over.size:
-                i = int(over[0])
-                raise BlowUp((done + 1 + i) * dt, norms[i])
+            # guard first: rows after a crossing may hold inf or nan
+            if not max(block.max(), -block.min()) <= BLOWUP_GUARD:
+                norms = np.abs(block).max(axis=1)
+                over = np.flatnonzero(norms > BLOWUP_GUARD)
+                if over.size:
+                    i = int(over[0])
+                    raise BlowUp((done + 1 + i) * dt, norms[i])
 
-        # flat first occurrence: earliest row, then lowest agent
-        mag = abs_dev[:count]
-        np.subtract(block[:, :n_agents], block[:, :1], out=mag)
-        np.abs(mag, out=mag)
-        row, agent = divmod(int(np.argmax(mag)), n_agents)
-        if mag[row, agent] > abs(peak):
-            peak = block[row, agent] - block[row, 0]
-            peak_t, peak_agent = (done + 1 + row) * dt, agent
+            # flat first occurrence: earliest row, then lowest agent
+            mag = abs_dev[:count]
+            np.subtract(block[:, :n_agents], block[:, :1], out=mag)
+            np.abs(mag, out=mag)
+            row, agent = divmod(int(np.argmax(mag)), n_agents)
+            if mag[row, agent] > abs(peak):
+                peak = block[row, agent] - block[row, 0]
+                peak_t, peak_agent = (done + 1 + row) * dt, agent
 
-        first_stored = (done // stride + 1) * stride
-        ks = np.arange(first_stored, done + count + 1, stride)
-        states[ks // stride] = block[ks - done - 1]
+            first_stored = (done // stride + 1) * stride
+            ks = np.arange(first_stored, done + count + 1, stride)
+            states[ks // stride] = block[ks - done - 1]
 
-        y = block[-1]
-        done += count
+            y = block[-1]
+            done += count
 
     return Trajectory(
         times=times,

@@ -39,6 +39,31 @@ def test_check_exit_codes(tmp_path, fig1_path, fig2_path, capsys):
     assert main(["check", "--spec", str(missing)]) == 1
 
 
+@pytest.mark.parametrize("command", [["spectrum", "--n", "4"], ["simulate", "--n", "3"]],
+                         ids=["spectrum", "simulate"])
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+def test_unreadable_spec_creates_no_directory(tmp_path, capsys, command, content):
+    spec = tmp_path / "spec.json"
+    if content is not None:
+        spec.write_text(content)
+    out = tmp_path / "out"
+    assert main([*command, "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_out_of_region_blowup_prints_no_warning(tmp_path, fig1_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--spec", str(fig1_path), "--n", "20", "--dt", "5",
+                     "--tmax", "1000", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "blow-up at t=35.0000\n"
+    assert "RuntimeWarning" not in captured.err
+    assert _listing(out) == ["transient.json"]
+
+
 def test_check_zero_tolerance(fig1_path, fig2_path):
     # figure 1's moment is roundoff, not an instability certificate
     assert main(["check", "--spec", str(fig1_path), "--tol", "0"]) == 0
@@ -248,15 +273,19 @@ def test_rootcurves_rejects_degenerate_spec(tmp_path):
                  str(tmp_path / "rc")]) == 1
 
 
-def test_simulate_blowup_reported(tmp_path):
-    spec = fs.build_spec(
+def _hot_spec():
+    # positive positional gains: the line genuinely blows up
+    return fs.build_spec(
         fs.Arrangement.TRIATOMIC_NN,
         [{"g_x": 1.0, "g_v": 0.0,
           "rho_x": {"1": -0.5, "-1": -0.5},
           "rho_v": {"1": -0.5, "-1": -0.5}}] * 3,
     )
+
+
+def test_simulate_blowup_reported(tmp_path):
     path = tmp_path / "hot.json"
-    fs.save_spec(spec, path)
+    fs.save_spec(_hot_spec(), path)
     out = tmp_path / "out"
     assert main(["simulate", "--spec", str(path), "--n", "4", "--tmax", "200",
                  "--out", str(out)]) == 0
@@ -266,14 +295,40 @@ def test_simulate_blowup_reported(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
+def _listing(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+_SIMULATE_FILES = ["report.json", "trajectory.csv", "trajectory.svg"]
+
+
 def test_reproduce_figure3a(tmp_path):
     out = tmp_path / "repro"
     assert main(["reproduce", "fig3a", "--out", str(out)]) == 0
     report = json.loads((out / "fig3a" / "report.json").read_text())
+    assert list(report) == ["figure", "conditions", "tolerance", "computed", "published",
+                            "relative_error", "within_tolerance"]
     assert report["within_tolerance"] is True
     assert report["published"]["magnitude"] == -72.8
     assert abs(report["computed"]["magnitude"] + 72.8) / 72.8 < 0.02
-    assert (out / "fig3a" / "trajectory.svg").exists()
+    assert _listing(out / "fig3a") == _SIMULATE_FILES
+
+
+def test_reproduce_plot_only_kind(tmp_path, monkeypatch):
+    import flockstab.cli as cli
+    from flockstab.figures import FigureRun
+
+    small = FigureRun("fig2a", figure2, "simulate", 5, fs.BoundaryCondition.TYPE_I,
+                      0.02, 20.0)
+    monkeypatch.setitem(cli.FIGURE_RUNS, "fig2a", small)
+    out = tmp_path / "repro"
+    assert main(["reproduce", "fig2a", "--out", str(out)]) == 0
+    report = json.loads((out / "fig2a" / "report.json").read_text())
+    assert list(report) == ["figure", "conditions", "tolerance", "computed", "published",
+                            "within_tolerance"]
+    assert report["published"] is None
+    assert report["within_tolerance"] is None
+    assert _listing(out / "fig2a") == _SIMULATE_FILES
 
 
 def test_reproduce_scan_kind(tmp_path, monkeypatch):
@@ -286,6 +341,25 @@ def test_reproduce_scan_kind(tmp_path, monkeypatch):
     out = tmp_path / "repro"
     assert main(["reproduce", "fig2b", "--out", str(out)]) == 0
     report = json.loads((out / "fig2b" / "report.json").read_text())
+    assert list(report) == ["figure", "conditions", "tolerance", "computed", "published",
+                            "within_tolerance"]
     assert report["computed"]["slope"] > 0.0
-    assert (out / "fig2b" / "scan.svg").exists()
-    assert (out / "fig2b" / "scan.csv").exists()
+    assert _listing(out / "fig2b") == ["report.json", "scan.csv", "scan.svg"]
+
+
+def test_reproduce_blowup_kind(tmp_path, monkeypatch, capsys):
+    import flockstab.cli as cli
+    from flockstab.figures import FigureRun
+
+    hot = FigureRun("fig3c", _hot_spec, "simulate", 4, fs.BoundaryCondition.TYPE_I,
+                    0.01, 200.0)
+    monkeypatch.setitem(cli.FIGURE_RUNS, "fig3c", hot)
+    out = tmp_path / "repro"
+    assert main(["reproduce", "fig3c", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("fig3c: blow-up at t=")
+    report = json.loads((out / "fig3c" / "report.json").read_text())
+    assert list(report) == ["figure", "conditions", "tolerance", "blew_up", "time",
+                            "within_tolerance"]
+    assert report["blew_up"] is True
+    assert report["within_tolerance"] is None
+    assert _listing(out / "fig3c") == ["report.json"]

@@ -225,6 +225,16 @@ def test_blowup_raises_with_time():
     assert err.value.norm > 1e12
 
 
+@pytest.mark.parametrize("dt, t_max, when", [(5.0, 1000.0, 35.0), (1e10, 1e10, 1e10)],
+                         ids=["outside-rk4-region", "overflowing-step-matrix"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blowup_past_overflow_raises_no_warning(fig1, dt, t_max, when):
+    # steps past the crossing overflow to inf and nan inside the batch
+    with pytest.raises(BlowUp) as err:
+        simulate(fig1, 20, BC1, t_max, dt)
+    assert err.value.time == when
+
+
 def test_simulate_argument_validation(fig1):
     with pytest.raises(ValueError):
         simulate(fig1, 4, BC1, 10.0, 0.0)
