@@ -9,8 +9,8 @@ A ``cmd_*`` function only computes: it returns ``(files, summary, code)``,
 where ``files`` maps an output name under ``--out`` to a CSV writer taking
 the path, SVG text, or a JSON dict.  :func:`main` runs every command alike:
 load ``--spec``, refuse every output the command may write that exists
-(unless ``--force``), create the directory, run, write the returned files,
-print the summary.
+(unless ``--force``), run, create the directory, write the returned files,
+print the summary.  A command that fails leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -215,18 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "spec" in args:  # a bad spec must leave no directory behind
+        if "spec" in args:
             args.spec = load_spec(args.spec)
         names = args.outputs(args) if callable(args.outputs) else args.outputs
         paths = {} if args.out is None else {name: args.out / name for name in names}
         for path in paths.values():
             if path.exists() and not args.force:
                 raise FileExistsError(f"{path} exists; pass --force to overwrite")
-        for directory in dict.fromkeys(path.parent for path in paths.values()):
-            directory.mkdir(parents=True, exist_ok=True)
         files, summary, code = args.func(args)
         if not files.keys() <= paths.keys():
             raise RuntimeError(f"unclaimed outputs {sorted(files.keys() - paths.keys())}")
+        for directory in dict.fromkeys(path.parent for path in paths.values()):
+            directory.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             if callable(content):
                 content(paths[name])

@@ -1,4 +1,8 @@
-"""Tiny dependency-free SVG plot writer (lines and scatter)."""
+"""Tiny dependency-free SVG plot writer (lines and scatter).
+
+Each series is mapped to pixels as a whole array, then printed in one
+``%`` format with ``%.2f`` per coordinate.
+"""
 
 from __future__ import annotations
 
@@ -79,16 +83,15 @@ def render_plot(series: list[Series], title: str, xlabel: str, ylabel: str) -> s
     legend_y = top + 14
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        x = np.asarray(s.x, dtype=float)
-        y = np.asarray(s.y, dtype=float)
+        xs = px(np.asarray(s.x, dtype=float)).tolist()
+        ys = py(np.asarray(s.y, dtype=float)).tolist()
+        xy = [0.0] * (2 * len(xs))
+        xy[::2], xy[1::2] = xs, ys
         if s.points:
-            dots = "".join(
-                f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="3" fill="{color}"/>'
-                for a, b in zip(x, y)
-            )
-            parts.append(dots)
+            dot = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}"/>'
+            parts.append((dot * len(xs)) % tuple(xy))
         else:
-            coords = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+            coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
             dash = ' stroke-dasharray="6 4"' if s.dashed else ""
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '

@@ -52,6 +52,19 @@ def test_unreadable_spec_creates_no_directory(tmp_path, capsys, command, content
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--n", "4", "--tol=-1"], ["rootcurves", "--phi-min", "nan"],
+     ["scan", "--N-list", "abc"]],
+    ids=["spectrum-tol", "rootcurves-phi-min", "scan-N-list"],
+)
+def test_failed_command_creates_no_directory(tmp_path, fig2_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--spec", str(fig2_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_out_of_region_blowup_prints_no_warning(tmp_path, fig1_path, capsys):
     out = tmp_path / "out"
     with warnings.catch_warnings():
