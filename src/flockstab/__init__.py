@@ -48,9 +48,7 @@ from .rootcurves import (
     RootCurve,
     TangencyReport,
     branch_curvature,
-    branch_ratios,
     orthogonality_angle,
-    predicted_branch,
     right_angle_deviation,
     small_root_counts,
     tangency_report,

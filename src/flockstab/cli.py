@@ -29,7 +29,6 @@ from .model import BoundaryCondition, load_spec
 from .rootcurves import (
     DEFAULT_GRID,
     angle_grid,
-    branch_curvature,
     orthogonality_angle,
     right_angle_deviation,
     tangency_report,
@@ -79,7 +78,7 @@ def cmd_simulate(args):
     if isinstance(rep, BlowUp):
         files["transient.json"] = {"blew_up": True, "time": rep.time, "norm": rep.norm}
         return files, f"blow-up at t={rep.time:.4f}", 0
-    files["transient.json"] = {"blew_up": False, **rep.to_dict()}
+    files["transient.json"] = {"blew_up": False, **asdict(rep)}
     return files, (f"magnitude {rep.magnitude:.6g} at t={rep.time_at_extremum:.4f} "
                    f"(agent {rep.agent_at_extremum}, converged={rep.converged})"), 0
 
@@ -93,17 +92,17 @@ def cmd_scan(args):
 
 def cmd_rootcurves(args):
     grid = angle_grid(args.phi_min, args.phi_max, args.phi_points)
-    c = branch_curvature(args.spec)
     plus, minus = track_branches(args.spec, grid)
+    c = plus.c
     angle = orthogonality_angle(plus, minus)
     files = {
-        "rootcurves.csv": lambda path: reports.write_rootcurves_csv(path, plus, minus, c),
-        "rootcurves.svg": reports.rootcurves_svg(plus, minus, c),
+        "rootcurves.csv": lambda path: reports.write_rootcurves_csv(path, plus, minus),
+        "rootcurves.svg": reports.rootcurves_svg(plus, minus),
         "rootcurves.json": {
             "curvature": {"re": c.real, "im": c.imag},
             "branch_angle_deg": angle,
             "right_angle_deviation_deg": right_angle_deviation(angle),
-            "tangency": {curve.branch.name.lower(): asdict(tangency_report(curve, c))
+            "tangency": {curve.branch.name.lower(): asdict(tangency_report(curve))
                          for curve in (plus, minus)},
         },
     }
@@ -134,14 +133,14 @@ def cmd_reproduce(args):
         if isinstance(rep, BlowUp):
             report.update({"blew_up": True, "time": rep.time, "within_tolerance": None})
         elif run.published_magnitude is None:
-            report.update({"computed": rep.to_dict(), "published": None,
+            report.update({"computed": asdict(rep), "published": None,
                            "within_tolerance": None})
         else:
             mag, time = run.published_magnitude, run.published_time
             errors = {"magnitude": abs(rep.magnitude - mag) / abs(mag),
                       "time": abs(abs(rep.time_at_extremum) - abs(time)) / abs(time)}
             report.update({
-                "computed": rep.to_dict(),
+                "computed": asdict(rep),
                 "published": {"magnitude": mag, "time": time},
                 "relative_error": errors,
                 "within_tolerance": all(e <= PUBLISHED_TOLERANCE for e in errors.values()),

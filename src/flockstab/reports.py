@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rootcurves import RootCurve, branch_ratios, predicted_branch
+from .rootcurves import RootCurve
 from .simulation import ScanResult, Trajectory
 from .spectral import Spectrum
 from .svg import Series, render_plot
@@ -129,24 +129,21 @@ def scan_svg(scan: ScanResult) -> str:
 
 # --- root curves -------------------------------------------------------------
 
-def write_rootcurves_csv(path, plus: RootCurve, minus: RootCurve, c: complex) -> None:
+def write_rootcurves_csv(path, plus: RootCurve, minus: RootCurve) -> None:
     rows = []
     for curve in (plus, minus):
-        predicted = predicted_branch(curve, c)
-        ratios = branch_ratios(curve, c)
-        for t, root, pred, ratio in zip(curve.t_grid, curve.roots, predicted, ratios):
-            rows.append(
-                (t, curve.branch.name.lower(), root.real, root.imag,
-                 pred.real, pred.imag, ratio)
-            )
+        roots, predicted = curve.roots, curve.predicted
+        rows += zip(curve.t_grid.tolist(), [curve.branch.name.lower()] * len(roots),
+                    roots.real.tolist(), roots.imag.tolist(), predicted.real.tolist(),
+                    predicted.imag.tolist(), curve.ratios.tolist())
     write_csv(path, ("t", "branch", "re", "im", "predicted_re", "predicted_im", "ratio"),
               "%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
 
 
-def rootcurves_svg(plus: RootCurve, minus: RootCurve, c: complex) -> str:
+def rootcurves_svg(plus: RootCurve, minus: RootCurve) -> str:
     series = []
     for curve, label in ((plus, "branch +"), (minus, "branch -")):
-        predicted = predicted_branch(curve, c)
+        predicted = curve.predicted
         series.append(Series(curve.roots.real, curve.roots.imag, label=label, points=True))
         series.append(Series(predicted.real, predicted.imag, dashed=True))
     return render_plot(series, title="tracked small roots vs predicted branches",

@@ -2,10 +2,13 @@
 
 When a_0 and a_1 of the mode polynomial vanish at angle 0 while a_2 and
 the slope a_0'(0) do not, the two roots that collapse into the origin are
-tangent to the square-root branches +-sqrt(c t) with c = -a_0'(0)/a_2(0).
+tangent to the square-root branches +-sqrt(c t) with c = -a_0'(0)/a_2(0),
+both read off one :class:`ModePolynomial` through ``ModePolynomial.jet``.
 This module tracks those roots along a positive angle grid, measures how
 fast they approach the predicted branches, and counts roots in the
 enclosing disk (two, by the continuation argument the prediction rests on).
+Each tracked :class:`RootCurve` carries in ``RootCurve.c`` the curvature it
+was tracked against, so its predicted branch and ratios need nothing else.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import BranchAmbiguity, HypothesisViolated
 from .model import FlockSpec
-from .spectral import mode_polynomial, mode_roots
+from .spectral import ModePolynomial, mode_polynomial, mode_roots
 
 HYPOTHESIS_TOL = 1e-9
 
@@ -36,17 +39,35 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class RootCurve:
-    """One tracked root branch over an ascending positive angle grid."""
+    """One tracked root branch over an ascending positive angle grid.
+
+    ``c`` is the nonzero curvature of the branch s*sqrt(c t) the roots
+    were tracked against, s = ``branch.value``.
+    """
 
     t_grid: np.ndarray
     roots: np.ndarray
     branch: Branch
+    c: complex
 
     def __post_init__(self):
+        if self.c == 0:
+            raise ValueError("curvature c must be nonzero")
         object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
         object.__setattr__(self, "roots", np.asarray(self.roots, dtype=complex))
         self.t_grid.setflags(write=False)
         self.roots.setflags(write=False)
+
+    @property
+    def predicted(self) -> np.ndarray:
+        """The ideal branch s*sqrt(c t) the curve is measured against."""
+        return self.branch.value * np.sqrt(self.c * self.t_grid.astype(complex))
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """Relative distance of each tracked root to the predicted branch."""
+        predicted = self.predicted
+        return np.abs(self.roots - predicted) / np.abs(predicted)
 
 
 @dataclass(frozen=True)
@@ -77,14 +98,17 @@ def default_grid() -> np.ndarray:
 
 
 def branch_curvature(spec: FlockSpec) -> complex:
-    """c = -a_0'(0) / a_2(0), both read off the spec's Laurent array.
+    """c = -a_0'(0) / a_2(0), both read off the spec's mode polynomial.
 
-    a_0'(0) = i sum_s s c[0, s] and a_2(0) = sum_s c[2, s].  The closed
-    forms (``a0_derivative_at_zero``, the conditions' ``a2_at_zero``) are
-    kept only as independent checks.
+    a_0'(0) = ``jet(1)[0]`` = i sum_s s c[0, s] and a_2(0) = ``jet(0)[2]``
+    = sum_s c[2, s].  The closed forms (``a0_derivative_at_zero``, the
+    conditions' ``a2_at_zero``) are kept only as independent checks.
     """
-    q = mode_polynomial(spec)
-    a2, a0p = q.a2_at_zero, q.a0_slope
+    return _curvature(mode_polynomial(spec))
+
+
+def _curvature(q: ModePolynomial) -> complex:
+    a2, a0p = float(q.jet(0)[2].real), complex(q.jet(1)[0])
     _require_hypotheses(a2, a0p)
     return -a0p / a2
 
@@ -100,9 +124,10 @@ def track_branches(
     spec: FlockSpec, t_grid: Sequence[float] | None = None
 ) -> tuple[RootCurve, RootCurve]:
     """Track the two small roots of the spec's mode polynomial."""
-    c = branch_curvature(spec)
+    q = mode_polynomial(spec)
+    c = _curvature(q)
     grid = default_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    return _track(mode_polynomial(spec).coeffs, grid, c)
+    return _track(q.coeffs, grid, c)
 
 
 def track_polynomial_branches(
@@ -113,8 +138,8 @@ def track_polynomial_branches(
     """Track branches of an arbitrary coefficient family a_i(t).
 
     The curvature c is estimated by central differences of a_0 when not
-    supplied.  The family must satisfy a_0(0) = a_1(0) = 0 with a_2(0) and
-    a_0'(0) away from zero.
+    supplied; a zero c raises ``ValueError``.  The family must satisfy
+    a_0(0) = a_1(0) = 0 with a_2(0) and a_0'(0) away from zero.
     """
     grid = np.asarray(t_grid, dtype=float)
     at_zero = np.asarray(coeff_fn(0.0), dtype=complex)
@@ -164,27 +189,14 @@ def _track(coeff_fn, grid: np.ndarray, c: complex) -> tuple[RootCurve, RootCurve
 
     ascending = descending[::-1].copy()
     return (
-        RootCurve(ascending, plus[::-1].copy(), Branch.PLUS),
-        RootCurve(ascending, minus[::-1].copy(), Branch.MINUS),
+        RootCurve(ascending, plus[::-1].copy(), Branch.PLUS, c),
+        RootCurve(ascending, minus[::-1].copy(), Branch.MINUS, c),
     )
 
 
-def predicted_branch(curve: RootCurve, c: complex) -> np.ndarray:
-    """The ideal branch s*sqrt(c t) the curve is measured against."""
-    return curve.branch.value * np.sqrt(c * curve.t_grid.astype(complex))
-
-
-def branch_ratios(curve: RootCurve, c: complex) -> np.ndarray:
-    """Relative distance of each tracked root to the predicted branch."""
-    predicted = predicted_branch(curve, c)
-    return np.abs(curve.roots - predicted) / np.abs(predicted)
-
-
-def tangency_report(curve: RootCurve, c: complex) -> TangencyReport:
+def tangency_report(curve: RootCurve) -> TangencyReport:
     """Per-decade sup of the relative distance to the predicted branch."""
-    if c == 0:
-        raise ValueError("curvature c must be nonzero")
-    ratios = branch_ratios(curve, c)
+    ratios = curve.ratios
     decades = np.floor(np.log10(curve.t_grid)).astype(int)
     uniq = sorted(set(decades))  # ascending: finest decade first
     sups = tuple(float(ratios[decades == d].max()) for d in uniq)

@@ -39,10 +39,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    spec: FlockSpec
-    n: int
     bc: BoundaryCondition
-    dt: float
     peak_deviation: float
     peak_time: float
     peak_agent: int
@@ -67,14 +64,6 @@ class TransientReport:
     time_at_extremum: float
     agent_at_extremum: int
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "magnitude": self.magnitude,
-            "time_at_extremum": self.time_at_extremum,
-            "agent_at_extremum": self.agent_at_extremum,
-            "converged": self.converged,
-        }
 
 
 def _step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
@@ -192,10 +181,7 @@ def simulate(
     return Trajectory(
         times=times,
         states=states,
-        spec=spec,
-        n=n,
         bc=BoundaryCondition(bc),
-        dt=dt,
         peak_deviation=float(peak),
         peak_time=peak_t,
         peak_agent=peak_agent,

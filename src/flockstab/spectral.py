@@ -120,15 +120,12 @@ class ModePolynomial:
         out[..., :2] = np.matmul(self.c[:2], rigid[..., None])[..., 0]
         return out
 
-    @property
-    def a0_slope(self) -> complex:
-        """d a_0 / d phi at phi = 0: i sum_s s c[0, s]."""
-        return 1j * float(self.c[0] @ self.shifts)
+    def jet(self, p: int) -> np.ndarray:
+        """d^p a_k / d phi^p at phi = 0 for every k: i^p sum_s s^p c[k, s].
 
-    @property
-    def a2_at_zero(self) -> float:
-        """a_2 at phi = 0: sum_s c[2, s]."""
-        return float(self.c[2].sum())
+        ``jet(1)[0]`` is the slope a_0'(0) and ``jet(0)[2]`` is a_2(0).
+        """
+        return 1j ** p * (self.c * self.shifts ** p).sum(axis=1)
 
 
 def mode_polynomial(spec: FlockSpec) -> ModePolynomial:

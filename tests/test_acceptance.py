@@ -152,14 +152,14 @@ def test_c8_small_root_branch_validation():
     toy = lambda t: np.array([-t, 2.0 * t, 1.0], dtype=complex)
     grid = default_grid()
     t_plus, t_minus = fs.track_polynomial_branches(toy, grid)
-    toy_reports = [fs.tangency_report(c, 1.0) for c in (t_plus, t_minus)]
+    toy_reports = [fs.tangency_report(curve) for curve in (t_plus, t_minus)]
     toy_counts = fs.small_root_counts(toy, grid, 1.0)
 
     # degree-six application on the flock-unstable parameters
     spec = figure2()
     c = fs.branch_curvature(spec)
     plus, minus = fs.track_branches(spec, grid)
-    spec_reports = [fs.tangency_report(curve, c) for curve in (plus, minus)]
+    spec_reports = [fs.tangency_report(curve) for curve in (plus, minus)]
     spec_counts = fs.small_root_counts(fs.mode_polynomial(spec).coeffs, grid, c)
 
     all_reports = toy_reports + spec_reports

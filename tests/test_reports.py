@@ -16,10 +16,7 @@ def test_trajectory_csv_bytes_match_generic_writer(tmp_path):
     traj = Trajectory(
         times=np.array([0.0, 0.1, 0.30000000000000004]),
         states=states,
-        spec=figure1(),
-        n=1,
         bc=BoundaryCondition.TYPE_I,
-        dt=0.01,
         peak_deviation=0.0,
         peak_time=0.0,
         peak_agent=0,
@@ -55,10 +52,10 @@ def test_scan_csv_bytes_with_censored_row(tmp_path):
 def test_rootcurves_csv_row_bytes(tmp_path):
     # c t = -4 exactly, so the predicted branches are +2i and -(+2i)
     t = np.array([0.1])
-    plus = RootCurve(t, np.array([0.5 + 2.0j]), Branch.PLUS)
-    minus = RootCurve(t, np.array([-1.0 - 2.0j]), Branch.MINUS)
+    plus = RootCurve(t, np.array([0.5 + 2.0j]), Branch.PLUS, -40.0 + 0.0j)
+    minus = RootCurve(t, np.array([-1.0 - 2.0j]), Branch.MINUS, -40.0 + 0.0j)
     path = tmp_path / "rootcurves.csv"
-    write_rootcurves_csv(path, plus, minus, -40.0 + 0.0j)
+    write_rootcurves_csv(path, plus, minus)
     assert path.read_bytes() == (
         b"t,branch,re,im,predicted_re,predicted_im,ratio\n"
         b"0.10000000000000001,plus,0.5,2,0,2,0.25\n"

@@ -18,6 +18,7 @@ from flockstab import (
     track_polynomial_branches,
 )
 from flockstab.rootcurves import DEFAULT_GRID, angle_grid, default_grid
+from conftest import random_spec
 
 
 def _grid(lo=1e-6, hi=1e-1, count=60):
@@ -50,8 +51,8 @@ def test_pure_square_root_family():
     plus, minus = track_polynomial_branches(fam, _grid())
     assert np.allclose(plus.roots, np.sqrt(plus.t_grid), atol=1e-12)
     assert np.allclose(minus.roots, -np.sqrt(minus.t_grid), atol=1e-12)
-    assert tangency_report(plus, 1.0).final_ratio < 1e-9
-    assert tangency_report(minus, 1.0).final_ratio < 1e-9
+    assert tangency_report(plus).final_ratio < 1e-9
+    assert tangency_report(minus).final_ratio < 1e-9
 
 
 def test_shifted_quadratic_family():
@@ -59,7 +60,7 @@ def test_shifted_quadratic_family():
     fam = lambda t: np.array([-t, 2.0 * t, 1.0], dtype=complex)
     plus, minus = track_polynomial_branches(fam, _grid())
     for curve in (plus, minus):
-        report = tangency_report(curve, 1.0)
+        report = tangency_report(curve)
         assert report.passed
         assert report.final_ratio < 0.05
         # strictly finer decades have strictly smaller sups here
@@ -68,10 +69,22 @@ def test_shifted_quadratic_family():
 
 def test_non_tangent_curve_fails():
     grid = _grid()
-    curve = RootCurve(grid, 2.0 * np.sqrt(grid).astype(complex), Branch.PLUS)
-    report = tangency_report(curve, 1.0)
+    curve = RootCurve(grid, 2.0 * np.sqrt(grid).astype(complex), Branch.PLUS, 1.0)
+    report = tangency_report(curve)
     assert report.final_ratio == pytest.approx(1.0, abs=1e-12)
     assert not report.passed
+
+
+def test_root_curve_refuses_zero_curvature():
+    grid = _grid()
+    with pytest.raises(ValueError, match="curvature c must be nonzero"):
+        RootCurve(grid, np.sqrt(grid).astype(complex), Branch.PLUS, 0)
+
+
+def test_zero_curvature_refused_when_curves_are_built():
+    fam = lambda t: np.array([-t, 0.0, 1.0], dtype=complex)
+    with pytest.raises(ValueError, match="curvature c must be nonzero"):
+        track_polynomial_branches(fam, _grid(), c=0.0)
 
 
 def test_orthogonality_real_branches():
@@ -145,7 +158,7 @@ def test_figure_two_branches(fig2):
     grid = _grid(1e-6, 1e-2, 45)
     plus, minus = track_branches(fig2, grid)
     for curve in (plus, minus):
-        assert tangency_report(curve, c).passed
+        assert tangency_report(curve).passed
     # one arm of the cross reaches into the right half-plane
     assert np.all(plus.roots[:10].real > 0.0)
     assert right_angle_deviation(orthogonality_angle(plus, minus)) < 2.0
@@ -185,6 +198,17 @@ def test_quadratic_truncation_oracle(fig2):
         sups = [float(rel[decades == d].max()) for d in sorted(set(decades))]
         assert all(np.diff(sups) > 0.0)  # vanishing toward t -> 0
         assert sups[0] < 5e-4
+
+
+def test_tracked_curves_carry_the_spec_curvature(fig2, fig3c):
+    rng = np.random.default_rng(3)
+    for spec in [fig2, fig3c] + [random_spec(rng, arrangement)
+                                 for _ in range(4) for arrangement in Arrangement]:
+        c = branch_curvature(spec)
+        for curve in track_branches(spec, _grid(1e-5, 1e-2, 16)):
+            assert repr(curve.c) == repr(c)  # signed zeros included
+            assert np.array_equal(curve.predicted,
+                                  curve.branch.value * np.sqrt(c * curve.t_grid.astype(complex)))
 
 
 def test_tracked_curves_are_ascending(fig2):
