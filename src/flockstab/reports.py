@@ -53,13 +53,26 @@ def write_json(path, obj) -> None:
 # --- spectra -----------------------------------------------------------------
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
-    n, d = spectrum.eigenvalues.shape
+    """One row per root: m, phi, re, im, residual, each number as ``%.17g``.
+
+    Each mode's ``m,phi`` is formatted once, and each distinct magnitude
+    of the re, im and residual columns once, signed by a ``-`` prefix:
+    ``%.17g`` prints -x as ``-`` and then x, and every nan unsigned.  In a
+    conjugate-symmetric spectrum half the magnitudes are repeats.
+    """
+    d = spectrum.eigenvalues.shape[1]
+    heads = ["%d,%.17g" % mode for mode in enumerate(spectrum.phis.tolist())]
     roots = spectrum.eigenvalues.ravel()
-    rows = zip(np.repeat(np.arange(n), d).tolist(),
-               np.repeat(spectrum.phis, d).tolist(), roots.real.tolist(),
-               roots.imag.tolist(), spectrum.residuals.ravel().tolist())
-    write_csv(path, ("m", "phi", "re", "im", "residual"),
-              "%d,%.17g,%.17g,%.17g,%.17g\n", rows)
+    values = np.stack((roots.real, roots.imag, spectrum.residuals.ravel()), axis=1)
+    magnitudes, index = np.unique(np.abs(values), return_inverse=True)
+    text = np.array(["%.17g" % x for x in magnitudes.tolist()], dtype=object)
+    cells = text[index.reshape(values.shape)]
+    signs = np.where(np.signbit(values) & ~np.isnan(values), "-", "")
+    columns = [[head for head in heads for _ in range(d)]]
+    for k in range(3):
+        columns += [signs[:, k].tolist(), cells[:, k].tolist()]
+    write_csv(path, ("m", "phi", "re", "im", "residual"), "%s,%s%s,%s%s,%s%s\n",
+              zip(*columns))
 
 
 # --- trajectories ------------------------------------------------------------

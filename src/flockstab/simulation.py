@@ -27,6 +27,12 @@ _COLUMNS = 64
 #: target spacing of stored trajectory samples, in time units
 STORE_SPACING = 0.1
 
+#: a run is refused over this many RK4 steps (2500 times figure 1a's 40 000)
+_MAX_STEPS = 10**8
+
+#: or when its stored states would take more than this many bytes
+_MAX_STATE_BYTES = 2 * 1024**3
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -100,12 +106,26 @@ def simulate(
 
     Raises :class:`BlowUp` with the first offending time when the state
     max-norm crosses the overflow guard (the expected outcome for
-    genuinely unstable parameter sets).
+    genuinely unstable parameter sets).  A run of more than 1e8 steps, or
+    whose stored states would exceed 2 GiB, raises ``ValueError`` before
+    anything is assembled or allocated.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not dt <= t_max < np.inf:
         raise ValueError(f"t_max must be finite and at least one step, got {t_max}")
+    if t_max / dt > _MAX_STEPS:
+        raise ValueError(f"t_max / dt = {t_max / dt:.6g} RK4 steps, "
+                         f"over the budget of {_MAX_STEPS:.0e} steps")
+    steps = int(round(t_max / dt))
+    # a stride past the last step stores only t = 0, as any larger one (or inf) would
+    stride = int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1))
+    stored = steps // stride + 1
+    dim = 2 * spec.n_types * n
+    if stored * dim * 8 > _MAX_STATE_BYTES:
+        raise ValueError(f"{stored} stored states of {dim} values take {stored * dim * 8} "
+                         f"bytes, over the budget of {_MAX_STATE_BYTES} bytes")
+
     system = assemble_line(spec, n, bc)
     n_agents = system.n_agents
 
@@ -118,10 +138,6 @@ def simulate(
             raise ValueError(f"initial_state must have shape {y.shape}")
         y = initial_state.copy()
 
-    steps = int(round(t_max / dt))
-    # a stride past the last step stores only t = 0, as any larger one would
-    stride = min(max(1, int(np.ceil(STORE_SPACING / dt))), steps + 1)
-    stored = steps // stride + 1
     times = np.arange(stored) * (stride * dt)
     states = np.empty((stored, system.dim))
     states[0] = y

@@ -10,8 +10,9 @@ determinant is the mode polynomial Q(nu, phi) of degree d = 2t.  Every
 weight is real, so Q has one small real Laurent array C[k, s] in nu and z
 per spec, built once; the coefficients of any array of modes and the
 phi-jet at phi = 0 are read off it.  The spectrum is one array-backed
-:class:`Spectrum`, row m for mode phis[m], and :func:`mode_roots`, the
-only root finder, fills it from a stack of companion matrices.
+:class:`Spectrum`, row m for mode phis[m]; :func:`mode_roots`, the only
+root finder, solves modes m <= n/2 from a stack of companion matrices,
+and the rows above them are their conjugates.
 
 Linear stability means the only eigenvalue on the closed right half-plane
 is the double zero at phi = 0 (the rigid in-formation motion) with a
@@ -250,11 +251,33 @@ def mode_roots(phis, coeffs) -> Spectrum:
 
 
 def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
-    """Spectrum of all n Fourier modes of the circle system, in mode order."""
+    """Spectrum of all n Fourier modes of the circle system, in mode order.
+
+    Every weight is real, so mode n - m is the complex conjugate of mode
+    m.  One :func:`mode_roots` call solves modes 0..n//2; each row n - m
+    above them holds the conjugates of row m, re-sorted by the same rule,
+    with row m's residuals and coefficient scale, so modes m and n - m
+    are exact conjugates.  An exact zero root keeps a +0.0 imaginary part
+    in both rows.
+    """
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
     phis = 2.0 * np.pi * np.arange(n) / n
-    return mode_roots(phis, mode_polynomial(spec).coeffs(phis))
+    h = n // 2 + 1
+    half = mode_roots(phis[:h], mode_polynomial(spec).coeffs(phis[:h]))
+    eigenvalues = np.empty((n, half.eigenvalues.shape[1]), dtype=complex)
+    residuals = np.empty(eigenvalues.shape)
+    coeff_scale = np.empty(n)
+    eigenvalues[:h], residuals[:h], coeff_scale[:h] = (
+        half.eigenvalues, half.residuals, half.coeff_scale)
+    lower, upper = slice(1, n - h + 1), slice(n - 1, h - 1, -1)  # rows m and n - m
+    conj = np.conj(eigenvalues[lower])
+    conj.imag += 0.0  # conj(0j) has imaginary part -0.0
+    order = np.lexsort((-conj.imag, -conj.real), axis=-1)
+    eigenvalues[upper] = np.take_along_axis(conj, order, axis=-1)
+    residuals[upper] = np.take_along_axis(residuals[lower], order, axis=-1)
+    coeff_scale[upper] = coeff_scale[lower]
+    return Spectrum(phis, eigenvalues, residuals, coeff_scale)
 
 
 def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
@@ -267,10 +290,11 @@ def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
     +tol is Unstable; everything in between (extra eigenvalues stuck on
     the imaginary axis) is MarginallyUnstable.
 
-    Modes m and n - m are complex conjugates, so the largest real part
-    and its witness are taken over modes m <= n/2 only; otherwise
-    roundoff would pick between the two.  The witness is the first such
-    root in mode order, then in root order.  A negative or non-finite tol
+    Modes m and n - m are complex conjugates (to the bit in a spectrum
+    from :func:`spectrum_periodic`), so the largest real part and its
+    witness are taken over modes m <= n/2 only: of a conjugate pair, the
+    witness is always the lower mode.  It is the first such root in mode
+    order, then in root order.  A negative or non-finite tol
     raises :class:`InvalidTolerance`.
     """
     check_tolerance(tol)

@@ -105,3 +105,10 @@ def alpha_roundoff_spec(g_x2: float = 1.5):
 
     return build_spec(Arrangement.DIATOMIC_NNN,
                       [agent(-1.0, -0.45, -0.05), agent(g_x2, -0.3, -0.2)])
+
+
+def zero_gain_spec():
+    """Half weights with type 1's positional gain zero: a_0 = 0 in every mode."""
+    half = {"1": -0.5, "-1": -0.5}
+    agents = [{"g_x": -1.0, "g_v": -1.0, "rho_x": half, "rho_v": half}] * 3
+    return build_spec(Arrangement.TRIATOMIC_NN, [{**agents[0], "g_x": 0.0}, *agents[1:]])

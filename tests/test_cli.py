@@ -155,6 +155,15 @@ def test_simulate_tiny_step_stores_only_the_start(tmp_path, fig2_path):
     assert lines[1].split(",")[0] == "0"
 
 
+def test_simulate_over_the_step_budget_is_an_input_error(tmp_path, fig1_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(fig1_path), "--n", "3", "--dt", "1e-9",
+                 "--tmax", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: t_max / dt = 1e+09 RK4 steps, over the budget of 1e+08 steps\n")
+    assert not out.exists()
+
+
 def test_scan_empty_size_list_is_an_input_error(tmp_path, fig1_path, capsys):
     out = tmp_path / "out"
     assert main(["scan", "--spec", str(fig1_path), "--N-list", ",",

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from flockstab import Arrangement, BoundaryCondition, build_spec, reports, scan_N, simulate
-from flockstab.figures import figure1
-from flockstab.reports import write_rootcurves_csv, write_scan_csv, write_trajectory_csv
+from flockstab import (Arrangement, BoundaryCondition, build_spec, reports, scan_N, simulate,
+                       spectrum_periodic)
+from flockstab.figures import figure1, figure2
+from flockstab.reports import (write_csv, write_rootcurves_csv, write_scan_csv,
+                               write_spectrum_csv, write_trajectory_csv)
 from flockstab.rootcurves import Branch, RootCurve
 from flockstab.simulation import ScanPoint, ScanResult, Trajectory
+from flockstab.spectral import Spectrum
 from flockstab.svg import _HEIGHT, _MARGIN, _PALETTE, _WIDTH, Series, _limits, render_plot
+from conftest import zero_gain_spec
 
 
 def test_trajectory_csv_bytes_match_generic_writer(tmp_path):
@@ -30,6 +34,48 @@ def test_trajectory_csv_bytes_match_generic_writer(tmp_path):
     )
     assert path.read_bytes() == (",".join(header) + "\n" + reference).encode()
     assert b"0,-0,4.9406564584124654e-324,10000000000000000," in path.read_bytes()
+
+
+def _per_row_spectrum_csv(path, spectrum):
+    """The spectrum writer as it was before formatting each magnitude once."""
+    n, d = spectrum.eigenvalues.shape
+    roots = spectrum.eigenvalues.ravel()
+    rows = zip(np.repeat(np.arange(n), d).tolist(),
+               np.repeat(spectrum.phis, d).tolist(), roots.real.tolist(),
+               roots.imag.tolist(), spectrum.residuals.ravel().tolist())
+    write_csv(path, ("m", "phi", "re", "im", "residual"),
+              "%d,%.17g,%.17g,%.17g,%.17g\n", rows)
+
+
+def _hand_spectrum(eigenvalues, residuals):
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    n = len(eigenvalues)
+    return Spectrum(2.0 * np.pi * np.arange(n) / n, eigenvalues,
+                    np.asarray(residuals, dtype=float), np.ones(n))
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        _hand_spectrum(
+            [[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+             [complex(5e-324, -5e-324), complex(-1e16, 1e16), complex(0.1, np.nan)],
+             [complex(np.inf, -np.inf), complex(-np.nan, 1.0 / 3.0), 0j]],
+            [[0.0, -0.0, np.inf], [5e-324, 1e16, np.nan], [1e-300, 2.5, 0.1]]),
+        _hand_spectrum(
+            [[0.25 + 0.5j, -0.25 - 0.5j, 0.5 - 0.25j, -0.5 + 0.25j],
+             [-0.25 + 0.25j, 0.25 - 0.25j, -0.5 - 0.5j, 0.5 + 0.5j]],
+            [[0.25, 0.5, 0.25, 0.5], [0.5, 0.25, 0.5, 0.25]]),
+        spectrum_periodic(figure2(), 48),
+        spectrum_periodic(zero_gain_spec(), 48),
+    ],
+    ids=["signed-zeros-and-extremes", "equal-magnitudes-both-signs", "figure2-n48",
+         "zero-gain-n48"],
+)
+def test_spectrum_csv_bytes_match_per_row_template(spectrum, tmp_path):
+    write_spectrum_csv(tmp_path / "spectrum.csv", spectrum)
+    _per_row_spectrum_csv(tmp_path / "reference.csv", spectrum)
+    assert (tmp_path / "spectrum.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_scan_csv_bytes_with_censored_row(tmp_path):

@@ -12,6 +12,7 @@ from flockstab import (
     transient,
 )
 from flockstab.figures import figure1, figure3
+from flockstab import simulation
 from flockstab.model import assemble_line
 from flockstab.simulation import _BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING
 from conftest import random_diatomic, random_triatomic
@@ -262,6 +263,32 @@ def test_tiny_step_stores_only_the_start(fig2):
     assert traj.times.tolist() == [0.0]
     assert traj.states.shape == (1, 18)
     assert traj.states[0, 9] == 1.0
+
+
+def test_subnormal_step_stores_only_the_start(fig2):
+    # 0.1 / 5e-324 overflows to inf; the stride is still clamped to steps + 1
+    traj = simulate(fig2, 3, BC1, 1e-323, 5e-324)
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.shape == (1, 18)
+
+
+@pytest.mark.parametrize(
+    "n, t_max, dt, message",
+    [(4, 1.0, 1e-9, r"t_max / dt = 1e\+09 RK4 steps, over the budget of 1e\+08 steps"),
+     (4, 1e300, 1e-300, r"t_max / dt = inf RK4 steps, over the budget of 1e\+08 steps"),
+     (1, 1e7, 0.1, r"100000001 stored states of 6 values take 4800000048 bytes, "
+                   r"over the budget of 2147483648 bytes"),
+     (10**5, 100.0, 0.01, r"1001 stored states of 600000 values take 4804800000 bytes, "
+                          r"over the budget of 2147483648 bytes")],
+    ids=["steps", "steps-overflow", "states-long", "states-wide"],
+)
+def test_simulate_refuses_runs_over_the_budget(fig1, monkeypatch, n, t_max, dt, message):
+    def no_assembly(*args):
+        raise AssertionError("assembled a run over the budget")
+
+    monkeypatch.setattr(simulation, "assemble_line", no_assembly)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate(fig1, n, BC1, t_max, dt)
 
 
 def test_trajectory_storage_grid(fig1):

@@ -28,7 +28,8 @@ from flockstab import (
 )
 from flockstab import mode_polynomial
 from flockstab.rootcurves import HYPOTHESIS_TOL
-from conftest import random_diatomic, random_spec, random_symmetric, random_triatomic
+from conftest import (random_diatomic, random_spec, random_symmetric, random_triatomic,
+                      zero_gain_spec)
 
 
 def _mode_matrix(spec, phi):
@@ -219,13 +220,6 @@ def test_a0_figure_three_at_pi_over_seven(fig3):
     )
 
 
-def _zero_gain():
-    """Half weights with type 1's positional gain zero: a_0 = 0 in every mode."""
-    half = {"1": -0.5, "-1": -0.5}
-    agents = [{"g_x": -1.0, "g_v": -1.0, "rho_x": half, "rho_v": half}] * 3
-    return build_spec(Arrangement.TRIATOMIC_NN, [{**agents[0], "g_x": 0.0}, *agents[1:]])
-
-
 @pytest.mark.parametrize("arrangement", list(Arrangement))
 def test_char_poly_rows_match_scalar_calls(arrangement, fig1, fig3):
     rng = np.random.default_rng(47)
@@ -284,7 +278,7 @@ def _pairing_distance(spec, n):
 
 @pytest.mark.parametrize("n", [3, 48, 65])
 def test_spectrum_rows_match_np_roots(n, fig1, fig2, fig3, fig3c):
-    zero_gain = _zero_gain()
+    zero_gain = zero_gain_spec()
     phis = 2.0 * np.pi * np.arange(n) / n
     assert np.all(char_poly(zero_gain, phis)[:, 0] == 0)
     for spec in (fig1, fig2, fig3, fig3c, zero_gain):
@@ -294,10 +288,25 @@ def test_spectrum_rows_match_np_roots(n, fig1, fig2, fig3, fig3c):
             coeffs = char_poly(spec, phi)
             roots = np.roots(coeffs[::-1])
             roots = roots[np.lexsort((-roots.imag, -roots.real))]
-            residuals = np.abs(npp.polyval(roots, coeffs))
-            assert spectrum.eigenvalues[m].tobytes() == roots.tobytes()
-            assert spectrum.residuals[m].tobytes() == residuals.tobytes()
-            assert spectrum.coeff_scale[m] == np.abs(coeffs).max()
+            if m <= n // 2:  # solved: bit-equal to np.roots
+                residuals = np.abs(npp.polyval(roots, coeffs))
+                assert spectrum.eigenvalues[m].tobytes() == roots.tobytes()
+                assert spectrum.residuals[m].tobytes() == residuals.tobytes()
+                assert spectrum.coeff_scale[m] == np.abs(coeffs).max()
+                continue
+            # filled: the re-sorted conjugate of row n - m, still np.roots to roundoff
+            conj = np.array([complex(z.real, -z.imag or 0.0)  # a zero imag as +0.0
+                             for z in spectrum.eigenvalues[n - m].tolist()])
+            order = np.lexsort((-conj.imag, -conj.real))
+            assert spectrum.eigenvalues[m].tobytes() == conj[order].tobytes()
+            assert spectrum.residuals[m].tobytes() == spectrum.residuals[n - m][order].tobytes()
+            assert spectrum.coeff_scale[m] == spectrum.coeff_scale[n - m]
+            # as multisets: real parts equal to roundoff may sort either way
+            cost = np.abs(spectrum.eigenvalues[m][:, None] - roots[None, :])
+            assert cost[linear_sum_assignment(cost)].max() <= 1e-12
+        zero = spectrum.eigenvalues == 0
+        assert not np.signbit(spectrum.eigenvalues.imag[zero]).any()
+    assert zero.sum() == n + 1  # zero gain: a_0 = 0 in every mode, a_1 = 0 at phi = 0
 
 
 def test_spectrum_matches_dense_eigensolver(fig1, fig3):
@@ -325,12 +334,12 @@ def test_spectrum_conjugate_closed():
 
 
 def test_modes_m_and_n_minus_m_conjugate(fig1):
-    n = 7
-    eigenvalues = spectrum_periodic(fig1, n).eigenvalues
-    for m in range(1, n):
-        a = np.sort_complex(eigenvalues[m])
-        b = np.sort_complex(np.conj(eigenvalues[n - m]))
-        assert np.allclose(a, b, atol=1e-9)
+    for n in (7, 8):
+        eigenvalues = spectrum_periodic(fig1, n).eigenvalues
+        for m in set(range(1, n)) - {n / 2}:  # mode n/2 is its own partner, solved as is
+            a = np.sort_complex(eigenvalues[m])
+            b = np.sort_complex(np.conj(eigenvalues[n - m]))
+            assert np.array_equal(a, b)
 
 
 # --- classification ----------------------------------------------------------
@@ -465,7 +474,7 @@ def test_classify_matches_per_mode_loop_on_ties_and_zero_roots():
                       [-0.5 + 3j, -0.5 - 3j, -3, -4]])
     # every root exactly zero: no witness, max real part -inf
     all_zero = mode_roots(np.arange(4.0), np.tile([0.0, 0.0, 1.0], (4, 1)))
-    for spectrum in (tied, all_zero, spectrum_periodic(_zero_gain(), 12)):
+    for spectrum in (tied, all_zero, spectrum_periodic(zero_gain_spec(), 12)):
         got = _verdict_tuple(classify(spectrum))
         assert repr(got) == repr(_classify_per_mode(spectrum))
     assert classify(tied).witness_eigenvalue == -0.5 + 2j
@@ -490,7 +499,7 @@ def test_classify_figure_two_not_stable(fig2):
 
 def test_classify_zero_gain_marginal():
     n = 12
-    verdict = classify(spectrum_periodic(_zero_gain(), n))
+    verdict = classify(spectrum_periodic(zero_gain_spec(), n))
     assert verdict.status is Stability.MARGINALLY_UNSTABLE
     assert verdict.zero_multiplicity >= n
 
