@@ -69,6 +69,7 @@ from .spectral import (
     Spectrum,
     Stability,
     StabilityVerdict,
+    Witness,
     a0_constant_term,
     a0_derivative_at_zero,
     char_poly,

@@ -7,7 +7,7 @@ instability, 1 on any input or usage error.
 
 A ``cmd_*`` function only computes: it returns ``(files, summary, code)``,
 where ``files`` maps an output name under ``--out`` to a CSV writer taking
-the path, SVG text, or a JSON dict.  :func:`main` runs every command alike:
+the path, SVG text, or a JSON result.  :func:`main` runs every command alike:
 load ``--spec``, refuse every output the command may write that exists
 (unless ``--force``), run, create the directory, write the returned files,
 print the summary.  A command that fails leaves no directory behind.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import reports
@@ -34,7 +33,7 @@ from .rootcurves import (
     tangency_report,
     track_branches,
 )
-from .simulation import scan_N, simulate, transient
+from .simulation import default_horizon, scan_N, simulate, transient
 from .spectral import CLASSIFY_TOL, classify, spectrum_periodic
 
 
@@ -57,28 +56,27 @@ def _scan(spec, bc, n_values, dt, t_max=None):
 
 def cmd_check(args):
     report = conditions(args.spec, tol=args.tol)
-    payload = report.to_dict()
-    files = {} if args.out is None else {"conditions.json": payload}
+    files = {} if args.out is None else {"conditions.json": report}
     code = 0 if report.overall is Overall.NECESSARY_CONDITIONS_HOLD else 2
-    return files, json.dumps(reports.canon(payload), indent=2), code
+    return files, json.dumps(reports.canon(report), indent=2), code
 
 
 def cmd_spectrum(args):
     spectrum = spectrum_periodic(args.spec, args.n)
     verdict = classify(spectrum, tol=args.tol)
     files = {"spectrum.csv": lambda path: reports.write_spectrum_csv(path, spectrum),
-             "verdict.json": verdict.to_dict()}
+             "verdict.json": verdict}
     return files, (f"{verdict.status.value}: max Re = {verdict.max_real_part:.6g}, "
                    f"zero multiplicity {verdict.zero_multiplicity}"), 0
 
 
 def cmd_simulate(args):
-    t_max = args.tmax if args.tmax is not None else 3.0 * args.spec.n_types * args.n
+    t_max = args.tmax if args.tmax is not None else default_horizon(args.spec.n_types * args.n)
     files, rep = _simulation(args.spec, args.n, BoundaryCondition(args.bc), t_max, args.dt)
     if isinstance(rep, BlowUp):
         files["transient.json"] = {"blew_up": True, "time": rep.time, "norm": rep.norm}
         return files, f"blow-up at t={rep.time:.4f}", 0
-    files["transient.json"] = {"blew_up": False, **asdict(rep)}
+    files["transient.json"] = {"blew_up": False, **reports.canon(rep)}
     return files, (f"magnitude {rep.magnitude:.6g} at t={rep.time_at_extremum:.4f} "
                    f"(agent {rep.agent_at_extremum}, converged={rep.converged})"), 0
 
@@ -86,7 +84,7 @@ def cmd_simulate(args):
 def cmd_scan(args):
     n_values = [int(v) for v in args.N_list.split(",") if v.strip()]
     result, files = _scan(args.spec, BoundaryCondition(args.bc), n_values, args.dt, args.tmax)
-    files["scan.json"] = result.to_dict()
+    files["scan.json"] = result
     return files, f"slope {result.slope:.6g}, R^2 {result.r_squared:.4f}", 0
 
 
@@ -99,10 +97,10 @@ def cmd_rootcurves(args):
         "rootcurves.csv": lambda path: reports.write_rootcurves_csv(path, plus, minus),
         "rootcurves.svg": reports.rootcurves_svg(plus, minus),
         "rootcurves.json": {
-            "curvature": {"re": c.real, "im": c.imag},
+            "curvature": c,
             "branch_angle_deg": angle,
             "right_angle_deviation_deg": right_angle_deviation(angle),
-            "tangency": {curve.branch.name.lower(): asdict(tangency_report(curve))
+            "tangency": {curve.branch.name.lower(): tangency_report(curve)
                          for curve in (plus, minus)},
         },
     }
@@ -119,12 +117,12 @@ def _reproduce_outputs(args) -> list[str]:
 def cmd_reproduce(args):
     run = FIGURE_RUNS[args.figure]
     spec = run.spec()
-    report: dict = {"figure": run.figure, "conditions": conditions(spec).to_dict(),
+    report: dict = {"figure": run.figure, "conditions": conditions(spec),
                     "tolerance": PUBLISHED_TOLERANCE}
     if run.kind == "scan":
         result, files = _scan(spec, run.bc, list(run.n_values), run.dt)
         report.update({
-            "computed": result.to_dict(),
+            "computed": result,
             "published": "exponential growth of |magnitude| with N",
             "within_tolerance": result.slope > 0.0 and result.r_squared > 0.9,
         })
@@ -133,14 +131,13 @@ def cmd_reproduce(args):
         if isinstance(rep, BlowUp):
             report.update({"blew_up": True, "time": rep.time, "within_tolerance": None})
         elif run.published_magnitude is None:
-            report.update({"computed": asdict(rep), "published": None,
-                           "within_tolerance": None})
+            report.update({"computed": rep, "published": None, "within_tolerance": None})
         else:
             mag, time = run.published_magnitude, run.published_time
             errors = {"magnitude": abs(rep.magnitude - mag) / abs(mag),
                       "time": abs(abs(rep.time_at_extremum) - abs(time)) / abs(time)}
             report.update({
-                "computed": asdict(rep),
+                "computed": rep,
                 "published": {"magnitude": mag, "time": time},
                 "relative_error": errors,
                 "within_tolerance": all(e <= PUBLISHED_TOLERANCE for e in errors.values()),

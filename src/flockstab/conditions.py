@@ -50,16 +50,6 @@ class ConditionReport:
     def verdicts(self) -> dict:
         return {c.id: c.triggered for c in self.clauses}
 
-    def to_dict(self) -> dict:
-        return {
-            "clauses": [
-                {"id": c.id, "value": c.value, "triggered": c.triggered, "note": c.note}
-                for c in self.clauses
-            ],
-            "case_values": dict(self.case_values),
-            "overall": self.overall.value,
-        }
-
 
 def D_func(a: float, b: float, c: float, t: float) -> complex:
     """abc(e^{it}-1) - (1+a)(1+b)(1+c)(e^{-it}-1)."""

@@ -38,6 +38,9 @@ CONSTRAINT_TOL = 1e-12
 
 ROW_SUM_TARGET = -1.0
 
+#: a run whose states, dense operators or spectrum would take more bytes is refused
+_MAX_BYTES = 2 * 1024**3
+
 
 class Arrangement(Enum):
     TRIATOMIC_NN = "triatomic-nn"
@@ -57,6 +60,12 @@ class Arrangement(Enum):
 class BoundaryCondition(Enum):
     TYPE_I = 1
     TYPE_II = 2
+
+
+def check_budget(what: str, nbytes: int) -> None:
+    """Refuse, before it is allocated, ``what`` that would take over 2 GiB."""
+    if nbytes > _MAX_BYTES:
+        raise ValueError(f"{what} take {nbytes} bytes, over the budget of {_MAX_BYTES} bytes")
 
 
 def _freeze_rho(rho: Mapping[int, float]) -> Mapping[int, float]:

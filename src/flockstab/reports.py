@@ -8,7 +8,9 @@ exactly, and row ordering is fixed by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +29,17 @@ def write_csv(path, header: Sequence[str], row_fmt: str, rows: Iterable[tuple]) 
 
 
 def canon(obj):
-    """Plain-python copy with floats normalized for stable JSON output."""
+    """Plain-python copy of a result, for JSON output.
+
+    A dataclass is written as its fields in order, an ``Enum`` as its
+    value, a complex number as ``{"re", "im"}`` and a non-finite float as null.
+    """
+    if dataclasses.is_dataclass(obj):
+        return {f.name: canon(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": canon(obj.real), "im": canon(obj.imag)}
     if isinstance(obj, dict):
         return {k: canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -39,8 +51,6 @@ def canon(obj):
         return value if np.isfinite(value) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [canon(v) for v in obj.tolist()]
     return obj
 
 
@@ -115,7 +125,7 @@ def _optional(value) -> str:
 
 def write_scan_csv(path, scan: ScanResult) -> None:
     rows = (
-        (p.n_agents, _optional(p.magnitude), _optional(p.log_abs_magnitude),
+        (p.N, _optional(p.magnitude), _optional(p.log_abs_magnitude),
          p.censored, _optional(p.blowup_time))
         for p in scan.points
     )
@@ -124,7 +134,7 @@ def write_scan_csv(path, scan: ScanResult) -> None:
 
 
 def scan_svg(scan: ScanResult) -> str:
-    xs = np.array([p.n_agents for p in scan.points if not p.censored], dtype=float)
+    xs = np.array([p.N for p in scan.points if not p.censored], dtype=float)
     ys = np.array([p.log_abs_magnitude for p in scan.points if not p.censored])
     if len(xs) == 0:
         return render_plot(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, SizeError
-from .model import BoundaryCondition, FlockSpec, assemble_line
+from .model import BoundaryCondition, FlockSpec, assemble_line, check_budget
 
 BLOWUP_GUARD = 1e12
 
@@ -30,8 +30,9 @@ STORE_SPACING = 0.1
 #: a run is refused over this many RK4 steps (2500 times figure 1a's 40 000)
 _MAX_STEPS = 10**8
 
-#: or when its stored states would take more than this many bytes
-_MAX_STATE_BYTES = 2 * 1024**3
+#: dense dim x dim arrays at a run's peak, M, P, Q and Horner temporaries (69 MB
+#: at dim 1200 under tracemalloc): 2 GiB allows dim 6688, about 3300 vehicles
+_DENSE_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ def simulate(
     Raises :class:`BlowUp` with the first offending time when the state
     max-norm crosses the overflow guard (the expected outcome for
     genuinely unstable parameter sets).  A run of more than 1e8 steps, or
-    whose stored states would exceed 2 GiB, raises ``ValueError`` before
-    anything is assembled or allocated.
+    whose stored states or dense operators would exceed 2 GiB, raises
+    ``ValueError`` before anything is assembled or allocated.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -122,9 +123,8 @@ def simulate(
     stride = int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1))
     stored = steps // stride + 1
     dim = 2 * spec.n_types * n
-    if stored * dim * 8 > _MAX_STATE_BYTES:
-        raise ValueError(f"{stored} stored states of {dim} values take {stored * dim * 8} "
-                         f"bytes, over the budget of {_MAX_STATE_BYTES} bytes")
+    check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
+    check_budget(f"{_DENSE_ARRAYS} dense {dim} x {dim} arrays", _DENSE_ARRAYS * dim * dim * 8)
 
     system = assemble_line(spec, n, bc)
     n_agents = system.n_agents
@@ -226,7 +226,7 @@ def transient(traj: Trajectory) -> TransientReport:
 
 @dataclass(frozen=True)
 class ScanPoint:
-    n_agents: int
+    N: int
     magnitude: float | None
     log_abs_magnitude: float | None
     blowup_time: float | None = None
@@ -234,14 +234,6 @@ class ScanPoint:
     @property
     def censored(self) -> bool:
         return self.log_abs_magnitude is None
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.n_agents,
-            "magnitude": self.magnitude,
-            "log_abs_magnitude": self.log_abs_magnitude,
-            "blowup_time": self.blowup_time,
-        }
 
 
 @dataclass(frozen=True)
@@ -252,14 +244,10 @@ class ScanResult:
     r_squared: float
     fit_error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [p.to_dict() for p in self.points],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "fit_error": self.fit_error,
-        }
+
+def default_horizon(n_total: int) -> float:
+    """The default t_max of a run of n_total vehicles: 3 time units per vehicle."""
+    return 3.0 * n_total
 
 
 def scan_N(
@@ -271,7 +259,7 @@ def scan_N(
 ) -> ScanResult:
     """Transient magnitude as a function of flock size.
 
-    Runs one line simulation per N (t_max defaults to 3N time units),
+    Runs one line simulation per N (t_max defaults to :func:`default_horizon`),
     fits log|magnitude| against N by least squares, and reports the slope
     with its R^2.  Runs that blow up are censored from the fit but kept in
     the point list with their blow-up time.
@@ -284,7 +272,7 @@ def scan_N(
             raise SizeError(f"N={n_total} is not a multiple of {t} (or too small)")
 
     def run(n_total: int) -> ScanPoint:
-        horizon = 3.0 * n_total if t_max is None else t_max
+        horizon = default_horizon(n_total) if t_max is None else t_max
         try:
             traj = simulate(spec, n_total // t, bc, horizon, dt)
         except BlowUp as blow:
@@ -295,7 +283,7 @@ def scan_N(
 
     points = tuple(run(n_total) for n_total in N_values)
 
-    usable = [(p.n_agents, p.log_abs_magnitude) for p in points if not p.censored]
+    usable = [(p.N, p.log_abs_magnitude) for p in points if not p.censored]
     if len(usable) < 2:
         return ScanResult(
             points, float("nan"), float("nan"), float("nan"),

@@ -35,11 +35,15 @@ import numpy as np
 
 from .conditions import D_func, check_tolerance
 from .errors import DegenerateLeadingCoefficient, SizeError
-from .model import Arrangement, FlockSpec, alphas_betas
+from .model import Arrangement, FlockSpec, alphas_betas, check_budget
 
 CLASSIFY_TOL = 1e-9
 
 _ZERO_EIGENVALUE_SCALE = 1e-8
+
+#: bytes per root the spectrum command holds at its peak, its CSV included
+#: (1.85 KB per mode of six roots at n = 1e5 under tracemalloc)
+_BYTES_PER_ROOT = 320
 
 
 @dataclass(frozen=True)
@@ -73,24 +77,20 @@ class Stability(Enum):
 
 
 @dataclass(frozen=True)
+class Witness:
+    """The root re + i im, at angle phi, that decides the largest real part."""
+
+    phi: float
+    re: float
+    im: float
+
+
+@dataclass(frozen=True)
 class StabilityVerdict:
     status: Stability
     zero_multiplicity: int
     max_real_part: float
-    witness_phi: float
-    witness_eigenvalue: complex
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "zero_multiplicity": self.zero_multiplicity,
-            "max_real_part": self.max_real_part,
-            "witness": {
-                "phi": self.witness_phi,
-                "re": self.witness_eigenvalue.real,
-                "im": self.witness_eigenvalue.imag,
-            },
-        }
+    witness: Witness
 
 
 class ModePolynomial:
@@ -258,10 +258,13 @@ def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
     above them holds the conjugates of row m, re-sorted by the same rule,
     with row m's residuals and coefficient scale, so modes m and n - m
     are exact conjugates.  An exact zero root keeps a +0.0 imaginary part
-    in both rows.
+    in both rows.  An n over the 2 GiB budget (about 1.1e6 for three
+    types) raises ``ValueError`` before anything is allocated.
     """
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
+    d = 2 * spec.n_types
+    check_budget(f"{n} modes of {d} roots", n * d * _BYTES_PER_ROOT)
     phis = 2.0 * np.pi * np.arange(n) / n
     h = n // 2 + 1
     half = mode_roots(phis[:h], mode_polynomial(spec).coeffs(phis[:h]))
@@ -304,9 +307,9 @@ def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
     real = np.where(zero, -np.inf, eigenvalues.real)[: len(eigenvalues) // 2 + 1]
     m, j = np.unravel_index(np.argmax(real), real.shape)
     max_re = float(real[m, j])
-    witness_phi, witness = float("nan"), complex("nan")
+    phi, root = float("nan"), complex("nan")  # no nonzero root: a nan witness
     if max_re > -np.inf:
-        witness_phi, witness = float(spectrum.phis[m]), complex(eigenvalues[m, j])
+        phi, root = float(spectrum.phis[m]), complex(eigenvalues[m, j])
 
     if max_re > tol:
         status = Stability.UNSTABLE
@@ -314,4 +317,4 @@ def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
         status = Stability.STABLE
     else:
         status = Stability.MARGINALLY_UNSTABLE
-    return StabilityVerdict(status, zero_total, max_re, witness_phi, witness)
+    return StabilityVerdict(status, zero_total, max_re, Witness(phi, root.real, root.imag))

@@ -164,6 +164,22 @@ def test_simulate_over_the_step_budget_is_an_input_error(tmp_path, fig1_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["simulate", "--n", "100000", "--tmax", "1"], "6 dense 600000 x 600000 arrays"),
+     (["spectrum", "--n", "100000000"], "100000000 modes of 6 roots")],
+    ids=["simulate", "spectrum"],
+)
+def test_run_over_the_memory_budget_is_an_input_error(tmp_path, fig1_path, capsys,
+                                                      argv, what):
+    out = tmp_path / "out"
+    assert main([*argv, "--spec", str(fig1_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what}")
+    assert err.endswith("over the budget of 2147483648 bytes\n")
+    assert not out.exists()
+
+
 def test_scan_empty_size_list_is_an_input_error(tmp_path, fig1_path, capsys):
     out = tmp_path / "out"
     assert main(["scan", "--spec", str(fig1_path), "--N-list", ",",

@@ -1,12 +1,18 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from flockstab import (Arrangement, BoundaryCondition, build_spec, reports, scan_N, simulate,
-                       spectrum_periodic)
+import flockstab as fs
+from flockstab import (Arrangement, BlowUp, BoundaryCondition, build_spec, classify,
+                       mode_roots, reports, scan_N, simulate, spectrum_periodic, transient)
+from flockstab.cli import main
 from flockstab.figures import figure1, figure2
 from flockstab.reports import (write_csv, write_rootcurves_csv, write_scan_csv,
                                write_spectrum_csv, write_trajectory_csv)
-from flockstab.rootcurves import Branch, RootCurve
+from flockstab.rootcurves import (Branch, RootCurve, orthogonality_angle, right_angle_deviation,
+                                  tangency_report, track_branches)
 from flockstab.simulation import ScanPoint, ScanResult, Trajectory
 from flockstab.spectral import Spectrum
 from flockstab.svg import _HEIGHT, _MARGIN, _PALETTE, _WIDTH, Series, _limits, render_plot
@@ -219,3 +225,273 @@ def test_trajectory_svg_bytes_match_per_point_writer(monkeypatch):
     monkeypatch.setattr(reports, "render_plot", _per_point_render_plot)
     assert svg.encode() == reports.trajectory_svg(traj).encode()
     assert svg.count("<polyline") == 21
+
+
+# --- JSON files --------------------------------------------------------------
+# Each JSON file's text is pinned byte for byte.  Numbers that come out of
+# LAPACK or BLAS are filled in (as repr, which is how JSON prints a float)
+# from the same computation made here, so the pins hold the layout, keys,
+# order, nulls and signed zeros on any CPU.
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    z: float
+    a: tuple
+
+    @property
+    def derived(self):
+        return 1
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    rows: list
+
+
+def test_canon_writes_a_dataclass_as_its_fields_in_order():
+    obj = _Outer(_Inner(np.float64(np.nan), (np.int64(2), True)), [_Inner(-0.0, ())])
+    assert json.dumps(reports.canon(obj)) == (
+        '{"inner": {"z": null, "a": [2, true]}, "rows": [{"z": -0.0, "a": []}]}')
+
+
+def test_canon_writes_an_enum_as_its_value():
+    assert reports.canon({"s": fs.Stability.MARGINALLY_UNSTABLE, "b": [Branch.MINUS]}) == {
+        "s": "marginally-unstable", "b": [-1]}
+
+
+def test_canon_writes_a_complex_as_re_and_im():
+    values = [complex(-0.0, 2.5), np.complex128(complex(np.inf, -1e-300)), 1j]
+    assert json.dumps(reports.canon(values)) == (
+        '[{"re": -0.0, "im": 2.5}, {"re": null, "im": -1e-300}, {"re": 0.0, "im": 1.0}]')
+
+
+def _cli_text(tmp_path, spec, argv, name):
+    path = tmp_path / "spec.json"
+    fs.save_spec(spec, path)
+    out = tmp_path / "out"
+    main([*argv, "--spec", str(path), "--out", str(out)])
+    return (out / name).read_text(encoding="utf-8")
+
+
+def _fill(template, *values):
+    return template % tuple(repr(float(v)) for v in values)
+
+
+_CONDITIONS = {
+    "figure1": """{
+  "clauses": [
+    {
+      "id": "i",
+      "value": -1.0,
+      "triggered": false,
+      "note": "triggers when a positional gain vanishes"
+    },
+    {
+      "id": "ii",
+      "value": 2.137142857142857,
+      "triggered": false,
+      "note": "vanishing pair sum forces a triple zero eigenvalue"
+    },
+    {
+      "id": "iii",
+      "value": 9.71445146547012e-17,
+      "triggered": false,
+      "note": "first moment of weight asymmetries plus their product"
+    }
+  ],
+  "case_values": {
+    "g_product": -1.0,
+    "e_sum": 2.137142857142857,
+    "mixed_e_sum": 5.827714285714285,
+    "beta_sum": -0.08571428571428563,
+    "moment_plus_correction": 9.71445146547012e-17,
+    "a2_at_zero": -2.137142857142857
+  },
+  "overall": "necessary-conditions-hold"
+}
+""",
+    "figure2": """{
+  "clauses": [
+    {
+      "id": "i",
+      "value": -1.0,
+      "triggered": false,
+      "note": "triggers when a positional gain vanishes"
+    },
+    {
+      "id": "ii",
+      "value": 2.12,
+      "triggered": false,
+      "note": "vanishing pair sum forces a triple zero eigenvalue"
+    },
+    {
+      "id": "iii",
+      "value": 0.096,
+      "triggered": true,
+      "note": "first moment of weight asymmetries plus their product"
+    }
+  ],
+  "case_values": {
+    "g_product": -1.0,
+    "e_sum": 2.12,
+    "mixed_e_sum": 5.85,
+    "beta_sum": 0.0,
+    "moment_plus_correction": 0.096,
+    "a2_at_zero": -2.12
+  },
+  "overall": "instability-certified"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("figure", ["figure1", "figure2"])
+def test_conditions_json_bytes(tmp_path, capsys, figure):
+    spec = getattr(fs.figures, figure)()
+    text = _cli_text(tmp_path, spec, ["check"], "conditions.json")
+    assert text == _CONDITIONS[figure]
+    assert capsys.readouterr().out == text
+
+
+_VERDICT = """{
+  "status": "%s",
+  "zero_multiplicity": 2,
+  "max_real_part": %%s,
+  "witness": {
+    "phi": 0.5235987755982988,
+    "re": %%s,
+    "im": %%s
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("figure, status", [("figure1", "stable"), ("figure2", "unstable")])
+def test_verdict_json_bytes(tmp_path, figure, status):
+    spec = getattr(fs.figures, figure)()
+    text = _cli_text(tmp_path, spec, ["spectrum", "--n", "12"], "verdict.json")
+    verdict = classify(spectrum_periodic(spec, 12))
+    assert text == _fill(_VERDICT % status, verdict.max_real_part,
+                         verdict.witness.re, verdict.witness.im)
+
+
+def test_all_zero_verdict_json():
+    verdict = classify(mode_roots(np.arange(4.0), np.tile([0.0, 0.0, 1.0], (4, 1))))
+    assert json.dumps(reports.canon(verdict), indent=2) == """{
+  "status": "marginally-unstable",
+  "zero_multiplicity": 8,
+  "max_real_part": null,
+  "witness": {
+    "phi": null,
+    "re": null,
+    "im": 0.0
+  }
+}"""
+
+
+def test_censored_scan_json_bytes(tmp_path):
+    argv = ["scan", "--N-list", "60", "--dt", "5", "--tmax", "1000"]
+    assert _cli_text(tmp_path, figure1(), argv, "scan.json") == """{
+  "points": [
+    {
+      "N": 60,
+      "magnitude": null,
+      "log_abs_magnitude": null,
+      "blowup_time": 35.0
+    }
+  ],
+  "slope": null,
+  "intercept": null,
+  "r_squared": null,
+  "fit_error": "need at least two finite magnitudes, have 0"
+}
+"""
+
+
+_SCAN_POINT = """    {
+      "N": %d,
+      "magnitude": %%s,
+      "log_abs_magnitude": %%s,
+      "blowup_time": null
+    }"""
+
+
+def test_scan_json_bytes(tmp_path):
+    text = _cli_text(tmp_path, figure2(), ["scan", "--N-list", "12,24"], "scan.json")
+    scan = scan_N(figure2(), BoundaryCondition.TYPE_I, [12, 24])
+    points = ",\n".join(_fill(_SCAN_POINT % p.N, p.magnitude, p.log_abs_magnitude)
+                        for p in scan.points)
+    assert text == ('{\n  "points": [\n' + points + "\n  ],\n"
+                    + _fill('  "slope": %s,\n  "intercept": %s,\n  "r_squared": %s,\n',
+                            scan.slope, scan.intercept, scan.r_squared)
+                    + '  "fit_error": null\n}\n')
+
+
+def test_transient_json_bytes(tmp_path):
+    argv = ["simulate", "--n", "6", "--tmax", "30"]
+    text = _cli_text(tmp_path, figure1(), argv, "transient.json")
+    rep = transient(simulate(figure1(), 6, BoundaryCondition.TYPE_I, 30.0))
+    assert text == _fill("""{
+  "blew_up": false,
+  "magnitude": %s,
+  "time_at_extremum": %s,
+  "agent_at_extremum": 17,
+  "converged": false
+}
+""", rep.magnitude, rep.time_at_extremum)
+
+
+def test_blown_up_transient_json_bytes(tmp_path):
+    argv = ["simulate", "--n", "20", "--dt", "5", "--tmax", "1000"]
+    text = _cli_text(tmp_path, figure1(), argv, "transient.json")
+    with pytest.raises(BlowUp) as blow:
+        simulate(figure1(), 20, BoundaryCondition.TYPE_I, 1000.0, 5.0)
+    assert text == _fill("""{
+  "blew_up": true,
+  "time": 35.0,
+  "norm": %s
+}
+""", blow.value.norm)
+
+
+_TANGENCY = """    "%s": {
+      "decades": [
+        -6,
+        -5,
+        -4,
+        -3,
+        -2,
+        -1
+      ],
+      "decade_sups": [
+        %%s,
+        %%s,
+        %%s,
+        %%s,
+        %%s,
+        %%s
+      ],
+      "final_ratio": %%s,
+      "monotone": true,
+      "passed": true
+    }"""
+
+
+def test_rootcurves_json_bytes(tmp_path):
+    text = _cli_text(tmp_path, figure2(), ["rootcurves"], "rootcurves.json")
+    plus, minus = track_branches(figure2())
+    angle = orthogonality_angle(plus, minus)
+    tangency = []
+    for curve in (plus, minus):
+        rep = tangency_report(curve)
+        tangency.append(_fill(_TANGENCY % curve.branch.name.lower(),
+                              *rep.decade_sups, rep.final_ratio))
+    assert text == ("""{
+  "curvature": {
+    "re": -0.0,
+    "im": -0.011320754716981126
+  },
+""" + _fill('  "branch_angle_deg": %s,\n  "right_angle_deviation_deg": %s,\n',
+            angle, right_angle_deviation(angle))
+        + '  "tangency": {\n' + ",\n".join(tangency) + "\n  }\n}\n")

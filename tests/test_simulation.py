@@ -291,6 +291,30 @@ def test_simulate_refuses_runs_over_the_budget(fig1, monkeypatch, n, t_max, dt, 
         simulate(fig1, n, BC1, t_max, dt)
 
 
+class _Assembled(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(1114, None),
+     (1115, r"6 dense 6690 x 6690 arrays take 2148292800 bytes, "
+            r"over the budget of 2147483648 bytes"),
+     (10**5, r"6 dense 600000 x 600000 arrays take 17280000000000 bytes, "
+             r"over the budget of 2147483648 bytes")],
+    ids=["dim-6684-fits", "dim-6690", "n-1e5"],
+)
+def test_simulate_budgets_dense_operators(fig1, monkeypatch, n, message):
+    # six dense dim x dim arrays, dim = 6n: the largest that fits 2 GiB is 6688
+    def assembled(*args):
+        raise _Assembled
+
+    monkeypatch.setattr(simulation, "assemble_line", assembled)
+    with pytest.raises(_Assembled if message is None else ValueError,
+                       match=None if message is None else f"^{message}$"):
+        simulate(fig1, n, BC1, 1.0, 0.01)
+
+
 def test_trajectory_storage_grid(fig1):
     traj = simulate(fig1, 4, BC1, 10.0, 0.01)
     assert traj.times[0] == 0.0

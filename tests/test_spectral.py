@@ -403,7 +403,7 @@ def test_witness_from_lower_half_of_modes(arrangement):
     for _ in range(10):
         spec = random_spec(rng, arrangement)
         for n in (7, 48):
-            assert classify(spectrum_periodic(spec, n)).witness_phi <= np.pi
+            assert classify(spectrum_periodic(spec, n)).witness.phi <= np.pi
 
 
 def _classify_per_mode(spectrum, tol=fs.spectral.CLASSIFY_TOL):
@@ -440,7 +440,7 @@ def _classify_per_mode(spectrum, tol=fs.spectral.CLASSIFY_TOL):
 
 def _verdict_tuple(verdict):
     return (verdict.status, verdict.zero_multiplicity, verdict.max_real_part,
-            verdict.witness_phi, verdict.witness_eigenvalue)
+            verdict.witness.phi, complex(verdict.witness.re, verdict.witness.im))
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
@@ -477,11 +477,37 @@ def test_classify_matches_per_mode_loop_on_ties_and_zero_roots():
     for spectrum in (tied, all_zero, spectrum_periodic(zero_gain_spec(), 12)):
         got = _verdict_tuple(classify(spectrum))
         assert repr(got) == repr(_classify_per_mode(spectrum))
-    assert classify(tied).witness_eigenvalue == -0.5 + 2j
+    assert (classify(tied).witness.re, classify(tied).witness.im) == (-0.5, 2.0)
     assert classify(tied).status is Stability.STABLE
     verdict = classify(all_zero)
     assert verdict.status is Stability.MARGINALLY_UNSTABLE
-    assert verdict.max_real_part == -np.inf and np.isnan(verdict.witness_phi)
+    assert verdict.max_real_part == -np.inf and np.isnan(verdict.witness.phi)
+
+
+class _Solved(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "figure, n, message",
+    [("fig1", 1118481, None),
+     ("fig1", 1118482, r"1118482 modes of 6 roots take 2147485440 bytes, "
+                       r"over the budget of 2147483648 bytes"),
+     ("fig3", 1677721, None),
+     ("fig3", 1677722, r"1677722 modes of 4 roots take 2147484160 bytes, "
+                       r"over the budget of 2147483648 bytes")],
+)
+def test_spectrum_periodic_budget(request, monkeypatch, figure, n, message):
+    # about 320 bytes per root, CSV included; refused before the mode polynomial
+    spec = request.getfixturevalue(figure)
+
+    def solved(*args):
+        raise _Solved
+
+    monkeypatch.setattr(fs.spectral, "mode_polynomial", solved)
+    with pytest.raises(_Solved if message is None else ValueError,
+                       match=None if message is None else f"^{message}$"):
+        spectrum_periodic(spec, n)
 
 
 @pytest.mark.parametrize("tol", [-1e-3, float("nan"), float("inf")])
