@@ -10,7 +10,6 @@ mode root-curve geometry numerically.
 from .conditions import (
     ConditionClause,
     ConditionReport,
-    D_func,
     E_func,
     Overall,
     conditions,
@@ -50,10 +49,8 @@ from .rootcurves import (
     branch_curvature,
     orthogonality_angle,
     right_angle_deviation,
-    small_root_counts,
     tangency_report,
     track_branches,
-    track_polynomial_branches,
 )
 from .simulation import (
     ScanPoint,
@@ -70,8 +67,6 @@ from .spectral import (
     Stability,
     StabilityVerdict,
     Witness,
-    a0_constant_term,
-    a0_derivative_at_zero,
     char_poly,
     classify,
     mode_polynomial,

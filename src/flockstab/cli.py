@@ -33,7 +33,7 @@ from .rootcurves import (
     tangency_report,
     track_branches,
 )
-from .simulation import default_horizon, scan_N, simulate, transient
+from .simulation import DEFAULT_DT, default_horizon, scan_N, simulate, transient
 from .spectral import CLASSIFY_TOL, classify, spectrum_periodic
 
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "line simulation from the leader kick")
     p.add_argument("--n", type=int, required=True, help="cells per agent type")
     p.add_argument("--bc", type=int, choices=(1, 2), default=1)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--tmax", type=float, default=None)
 
     p = command("scan", cmd_scan, ("scan.csv", "scan.json", "scan.svg"),
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", type=int, choices=(1, 2), default=1)
     p.add_argument("--N-list", dest="N_list", required=True,
                    help="comma-separated total vehicle counts")
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--tmax", type=float, default=None,
                    help="fixed horizon (default 3N per run)")
 

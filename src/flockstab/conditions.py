@@ -13,7 +13,6 @@ its size, the same expression evaluated on the magnitudes it sums.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,13 +48,6 @@ class ConditionReport:
     @property
     def verdicts(self) -> dict:
         return {c.id: c.triggered for c in self.clauses}
-
-
-def D_func(a: float, b: float, c: float, t: float) -> complex:
-    """abc(e^{it}-1) - (1+a)(1+b)(1+c)(e^{-it}-1)."""
-    return a * b * c * (cmath.exp(1j * t) - 1.0) - (1.0 + a) * (1.0 + b) * (
-        1.0 + c
-    ) * (cmath.exp(-1j * t) - 1.0)
 
 
 def E_func(a: float, b: float, c: float, d: float) -> float:

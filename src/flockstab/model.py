@@ -212,11 +212,8 @@ def build_spec(arrangement: Arrangement, agents: Sequence) -> FlockSpec:
     sum-to--1 constraint.
     """
     arrangement = Arrangement(arrangement)
-    want = arrangement.n_types
     if not isinstance(agents, Sequence):
         raise ShapeError(f"agents must be a list, got {type(agents).__name__}")
-    if len(agents) != want:
-        raise ShapeError(f"expected {want} agent entries, got {len(agents)}")
     return FlockSpec(arrangement, tuple(_as_agent(a, arrangement.offsets) for a in agents))
 
 

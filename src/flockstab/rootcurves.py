@@ -4,18 +4,21 @@ When a_0 and a_1 of the mode polynomial vanish at angle 0 while a_2 and
 the slope a_0'(0) do not, the two roots that collapse into the origin are
 tangent to the square-root branches +-sqrt(c t) with c = -a_0'(0)/a_2(0),
 both read off one :class:`ModePolynomial` through ``ModePolynomial.jet``.
-This module tracks those roots along a positive angle grid, measures how
-fast they approach the predicted branches, and counts roots in the
-enclosing disk (two, by the continuation argument the prediction rests on).
-Each tracked :class:`RootCurve` carries in ``RootCurve.c`` the curvature it
-was tracked against, so its predicted branch and ratios need nothing else.
+This module evaluates that polynomial's coefficient rows on a positive
+angle grid in one call, tracks the two roots along the grid, and measures
+how fast they approach the predicted branches.  Each tracked
+:class:`RootCurve` carries in ``RootCurve.c`` the curvature it was tracked
+against, so its predicted branch and ratios need nothing else.  The
+test suite (``tests/oracles.py``) keeps a second route to the same
+curves, a tracker for any coefficient family with a finite-difference
+curvature, and the count of roots in the enclosing disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,8 +104,8 @@ def branch_curvature(spec: FlockSpec) -> complex:
     """c = -a_0'(0) / a_2(0), both read off the spec's mode polynomial.
 
     a_0'(0) = ``jet(1)[0]`` = i sum_s s c[0, s] and a_2(0) = ``jet(0)[2]``
-    = sum_s c[2, s].  The closed forms (``a0_derivative_at_zero``, the
-    conditions' ``a2_at_zero``) are kept only as independent checks.
+    = sum_s c[2, s].  The closed forms (a_0'(0) in ``tests/oracles.py``,
+    the conditions' ``a2_at_zero``) are kept only as independent checks.
     """
     return _curvature(mode_polynomial(spec))
 
@@ -127,48 +130,18 @@ def track_branches(
     q = mode_polynomial(spec)
     c = _curvature(q)
     grid = default_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    return _track(q.coeffs, grid, c)
+    return _track(q.coeffs(grid), grid, c)
 
 
-def track_polynomial_branches(
-    coeff_fn: Callable[[float], np.ndarray],
-    t_grid: Sequence[float],
-    c: complex | None = None,
-) -> tuple[RootCurve, RootCurve]:
-    """Track branches of an arbitrary coefficient family a_i(t).
-
-    The curvature c is estimated by central differences of a_0 when not
-    supplied; a zero c raises ``ValueError``.  The family must satisfy
-    a_0(0) = a_1(0) = 0 with a_2(0) and a_0'(0) away from zero.
-    """
-    grid = np.asarray(t_grid, dtype=float)
-    at_zero = np.asarray(coeff_fn(0.0), dtype=complex)
-    scale = max(1.0, float(np.abs(at_zero).max()))
-    if abs(at_zero[0]) > HYPOTHESIS_TOL * scale or abs(at_zero[1]) > HYPOTHESIS_TOL * scale:
-        raise HypothesisViolated("a_0(0) and a_1(0) must vanish")
-    if c is None:
-        h = 1e-7
-        a0p = (np.asarray(coeff_fn(h))[0] - np.asarray(coeff_fn(-h))[0]) / (2.0 * h)
-        a2 = at_zero[2]
-        _require_hypotheses(complex(a2), complex(a0p))
-        c = -complex(a0p) / complex(a2)
-    return _track(coeff_fn, grid, c)
-
-
-def _roots_on_grid(coeff_fn, grid: np.ndarray) -> np.ndarray:
-    """Every root of the family at each grid angle, one row per angle."""
-    coeffs = np.array([np.asarray(coeff_fn(t), dtype=complex) for t in grid])
-    return mode_roots(grid, coeffs).eigenvalues
-
-
-def _track(coeff_fn, grid: np.ndarray, c: complex) -> tuple[RootCurve, RootCurve]:
+def _track(rows: np.ndarray, grid: np.ndarray, c: complex) -> tuple[RootCurve, RootCurve]:
+    """Follow the roots near +-sqrt(c t) down the grid; rows[k] is a_0..a_d at grid[k]."""
     if len(grid) == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("t_grid must be strictly increasing and positive")
 
     descending = grid[::-1]
     plus = np.empty(len(grid), dtype=complex)
     minus = np.empty(len(grid), dtype=complex)
-    all_roots = _roots_on_grid(coeff_fn, descending)
+    all_roots = mode_roots(descending, rows[::-1]).eigenvalues
 
     # seed at the coarsest angle by proximity to the predicted branches
     roots = all_roots[0]
@@ -228,14 +201,3 @@ def orthogonality_angle(plus: RootCurve, minus: RootCurve) -> float:
 def right_angle_deviation(angle_deg: float) -> float:
     """Distance of an angle to the nearest multiple of 90 degrees."""
     return float(abs((angle_deg + 45.0) % 90.0 - 45.0))
-
-
-def small_root_counts(
-    coeff_fn: Callable[[float], np.ndarray],
-    t_grid: Sequence[float],
-    c: complex,
-) -> np.ndarray:
-    """Number of roots inside the disk |z| < 2 sqrt|c t_max|, per grid angle."""
-    grid = np.asarray(t_grid, dtype=float)
-    radius = 2.0 * np.sqrt(abs(c) * grid.max())
-    return np.sum(np.abs(_roots_on_grid(coeff_fn, grid)) < radius, axis=1)

@@ -27,6 +27,9 @@ _COLUMNS = 64
 #: target spacing of stored trajectory samples, in time units
 STORE_SPACING = 0.1
 
+#: RK4 step of a run that names none, in time units
+DEFAULT_DT = 0.01
+
 #: a run is refused over this many RK4 steps (2500 times figure 1a's 40 000)
 _MAX_STEPS = 10**8
 
@@ -91,7 +94,7 @@ def simulate(
     n: int,
     bc: BoundaryCondition,
     t_max: float,
-    dt: float = 0.01,
+    dt: float = DEFAULT_DT,
     *,
     initial_state: np.ndarray | None = None,
 ) -> Trajectory:
@@ -254,7 +257,7 @@ def scan_N(
     spec: FlockSpec,
     bc: BoundaryCondition,
     N_values: list[int],
-    dt: float = 0.01,
+    dt: float = DEFAULT_DT,
     t_max: float | None = None,
 ) -> ScanResult:
     """Transient magnitude as a function of flock size.

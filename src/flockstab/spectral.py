@@ -9,7 +9,10 @@ offsets j that take type a to type b while shifting the cell by s.  Its
 determinant is the mode polynomial Q(nu, phi) of degree d = 2t.  Every
 weight is real, so Q has one small real Laurent array C[k, s] in nu and z
 per spec, built once; the coefficients of any array of modes and the
-phi-jet at phi = 0 are read off it.  The spectrum is one array-backed
+phi-jet at phi = 0 are read off it.  No arrangement has a formula of
+its own here: the paper's closed forms for a_0 and a_0'(0) live in the
+test suite (``tests/oracles.py``) as independent checks of this one
+construction.  The spectrum is one array-backed
 :class:`Spectrum`, row m for mode phis[m]; :func:`mode_roots`, the only
 root finder, solves modes m <= n/2 from a stack of companion matrices,
 and the rows above them are their conjugates.
@@ -33,9 +36,9 @@ from enum import Enum
 
 import numpy as np
 
-from .conditions import D_func, check_tolerance
+from .conditions import check_tolerance
 from .errors import DegenerateLeadingCoefficient, SizeError
-from .model import Arrangement, FlockSpec, alphas_betas, check_budget
+from .model import FlockSpec, check_budget
 
 CLASSIFY_TOL = 1e-9
 
@@ -162,57 +165,11 @@ def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
 def char_poly(spec: FlockSpec, phi) -> np.ndarray:
     """Coefficients a_0..a_d of the mode polynomial at angle phi.
 
-    One evaluation of :func:`mode_polynomial`, exact zeros a_0 and a_1 at
-    phi = 0 included.  For an array of angles the Laurent array is built
-    once, and each row is bit-equal to the scalar call at its angle.
+    ``mode_polynomial(spec).coeffs(phi)``, which every program path calls
+    directly; this wrapper stays only because the benchmark traces it by
+    name.
     """
     return mode_polynomial(spec).coeffs(phi)
-
-
-def _lambda_mu(agent, type_index: int, phi: float) -> tuple[complex, complex]:
-    """Cross-type (lambda) and same-type (mu) position symbols of a two-type agent."""
-    rho = agent.rho_x
-    em, ep = np.exp(-1j * phi), np.exp(1j * phi)
-    if type_index == 0:
-        lam = rho[1] + rho[-1] * em
-    else:
-        lam = rho[-1] + rho[1] * ep
-    mu = 1.0 + rho[2] * ep + rho[-2] * em
-    return lam, mu
-
-
-def a0_constant_term(spec: FlockSpec, phi: float) -> complex:
-    """Constant coefficient of Q(nu, phi) from its closed form.
-
-    An independent derivation of ``char_poly(spec, phi)[0]``; the
-    two must agree to roundoff, which the test suite cross-checks.
-    """
-    if spec.arrangement is Arrangement.TRIATOMIC_NN:
-        g = spec.agents[0].g_x * spec.agents[1].g_x * spec.agents[2].g_x
-        return g * D_func(*(a.rho_x[1] for a in spec.agents), phi)
-    a1, a2 = spec.agents
-    lx1, mx1 = _lambda_mu(a1, 0, phi)
-    lx2, mx2 = _lambda_mu(a2, 1, phi)
-    return a1.g_x * a2.g_x * (mx1 * mx2 - lx1 * lx2)
-
-
-def a0_derivative_at_zero(spec: FlockSpec) -> complex:
-    """d a_0 / d phi at phi = 0, in closed form."""
-    if spec.arrangement is Arrangement.TRIATOMIC_NN:
-        g = spec.agents[0].g_x * spec.agents[1].g_x * spec.agents[2].g_x
-        a, b, c = (agent.rho_x[1] for agent in spec.agents)
-        return g * 1j * (a * b * c + (1 + a) * (1 + b) * (1 + c))
-    a1, a2 = spec.agents
-    ab = alphas_betas(spec)
-    lam1, mu1 = _lambda_mu(a1, 0, 0.0)
-    lam2, mu2 = _lambda_mu(a2, 1, 0.0)
-    dlam1 = -1j * a1.rho_x[-1]
-    dlam2 = 1j * a2.rho_x[1]
-    dmu1 = 1j * ab.beta_x[0][2]
-    dmu2 = 1j * ab.beta_x[1][2]
-    return a1.g_x * a2.g_x * (
-        dmu1 * mu2 + mu1 * dmu2 - dlam1 * lam2 - lam1 * dlam2
-    )
 
 
 def mode_roots(phis, coeffs) -> Spectrum:

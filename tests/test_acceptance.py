@@ -15,6 +15,8 @@ from flockstab import Arrangement, BoundaryCondition
 from flockstab.figures import figure1, figure2, figure3
 from flockstab.rootcurves import default_grid
 from conftest import random_spec
+from oracles import (a0_constant_term, a0_derivative_at_zero, small_root_counts,
+                     track_polynomial_branches)
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
 
@@ -121,8 +123,8 @@ def test_c6_derivative_vs_finite_difference():
     for arrangement in Arrangement:
         for _ in range(100):
             spec = random_spec(rng, arrangement)
-            closed = fs.a0_derivative_at_zero(spec)
-            fd = (fs.a0_constant_term(spec, h) - fs.a0_constant_term(spec, -h)) / (
+            closed = a0_derivative_at_zero(spec)
+            fd = (a0_constant_term(spec, h) - a0_constant_term(spec, -h)) / (
                 2.0 * h
             )
             scale = max(abs(closed), abs(fd), 1e-6)
@@ -151,16 +153,16 @@ def test_c8_small_root_branch_validation():
     # toy quadratic family
     toy = lambda t: np.array([-t, 2.0 * t, 1.0], dtype=complex)
     grid = default_grid()
-    t_plus, t_minus = fs.track_polynomial_branches(toy, grid)
+    t_plus, t_minus = track_polynomial_branches(toy, grid)
     toy_reports = [fs.tangency_report(curve) for curve in (t_plus, t_minus)]
-    toy_counts = fs.small_root_counts(toy, grid, 1.0)
+    toy_counts = small_root_counts(toy, grid, 1.0)
 
     # degree-six application on the flock-unstable parameters
     spec = figure2()
     c = fs.branch_curvature(spec)
     plus, minus = fs.track_branches(spec, grid)
     spec_reports = [fs.tangency_report(curve) for curve in (plus, minus)]
-    spec_counts = fs.small_root_counts(fs.mode_polynomial(spec).coeffs, grid, c)
+    spec_counts = small_root_counts(fs.mode_polynomial(spec).coeffs, grid, c)
 
     all_reports = toy_reports + spec_reports
     ok = (

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from flockstab import (
     Arrangement,
-    D_func,
     E_func,
     InvalidTolerance,
     Overall,
     Stability,
-    a0_derivative_at_zero,
     alphas_betas,
     build_spec,
     classify,
@@ -21,6 +19,7 @@ from flockstab import (
     spectrum_periodic,
 )
 from conftest import alpha_roundoff_spec, random_spec, random_symmetric
+from oracles import D_func, a0_derivative_at_zero
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 

@@ -10,15 +10,15 @@ from flockstab import (
     branch_curvature,
     build_spec,
     mode_polynomial,
+    mode_roots,
     orthogonality_angle,
     right_angle_deviation,
-    small_root_counts,
     tangency_report,
     track_branches,
-    track_polynomial_branches,
 )
 from flockstab.rootcurves import DEFAULT_GRID, angle_grid, default_grid
 from conftest import random_spec
+from oracles import small_root_counts, track_polynomial_branches
 
 
 def _grid(lo=1e-6, hi=1e-1, count=60):
@@ -215,3 +215,17 @@ def test_tracked_curves_are_ascending(fig2):
     plus, _ = track_branches(fig2)
     assert np.all(np.diff(plus.t_grid) > 0.0)
     assert abs(plus.roots[0]) < abs(plus.roots[-1])
+
+
+def test_tracked_roots_are_the_per_angle_roots(fig2, fig3c):
+    # one batched coefficient evaluation gives every root bit for bit as the
+    # scalar evaluation and solve at each angle does
+    rng = np.random.default_rng(17)
+    grid = default_grid()
+    for spec in [fig2, fig3c] + [random_spec(rng, arrangement)
+                                 for _ in range(4) for arrangement in Arrangement]:
+        q = mode_polynomial(spec)
+        per_angle = [mode_roots(t, q.coeffs(t)).eigenvalues[0] for t in grid]
+        for curve in track_branches(spec, grid):
+            for root, roots in zip(curve.roots, per_angle):
+                assert root.tobytes() in [r.tobytes() for r in roots]

@@ -14,8 +14,6 @@ from flockstab import (
     HypothesisViolated,
     InvalidTolerance,
     Stability,
-    a0_constant_term,
-    a0_derivative_at_zero,
     alphas_betas,
     assemble_periodic,
     branch_curvature,
@@ -30,6 +28,7 @@ from flockstab import mode_polynomial
 from flockstab.rootcurves import HYPOTHESIS_TOL
 from conftest import (random_diatomic, random_spec, random_symmetric, random_triatomic,
                       zero_gain_spec)
+from oracles import a0_constant_term, a0_derivative_at_zero
 
 
 def _mode_matrix(spec, phi):
