@@ -264,7 +264,7 @@ def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
     real = np.where(zero, -np.inf, eigenvalues.real)[: len(eigenvalues) // 2 + 1]
     m, j = np.unravel_index(np.argmax(real), real.shape)
     max_re = float(real[m, j])
-    phi, root = float("nan"), complex("nan")  # no nonzero root: a nan witness
+    phi, root = float("nan"), complex(np.nan, np.nan)  # no nonzero root: a nan witness
     if max_re > -np.inf:
         phi, root = float(spectrum.phis[m]), complex(eigenvalues[m, j])
 

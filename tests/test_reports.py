@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,14 +44,15 @@ def test_trajectory_csv_bytes_match_generic_writer(tmp_path):
 
 
 def _per_row_spectrum_csv(path, spectrum):
-    """The spectrum writer as it was before formatting each magnitude once."""
+    """The spectrum writer as a per-row ``%`` template."""
     n, d = spectrum.eigenvalues.shape
     roots = spectrum.eigenvalues.ravel()
     rows = zip(np.repeat(np.arange(n), d).tolist(),
                np.repeat(spectrum.phis, d).tolist(), roots.real.tolist(),
                roots.imag.tolist(), spectrum.residuals.ravel().tolist())
-    write_csv(path, ("m", "phi", "re", "im", "residual"),
-              "%d,%.17g,%.17g,%.17g,%.17g\n", rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("m,phi,re,im,residual\n")
+        fh.writelines("%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
 
 
 def _hand_spectrum(eigenvalues, residuals):
@@ -113,6 +115,68 @@ def test_rootcurves_csv_row_bytes(tmp_path):
         b"0.10000000000000001,plus,0.5,2,0,2,0.25\n"
         b"0.10000000000000001,minus,-1,-2,-0,-2,0.5\n"
     )
+
+
+def _percent_csv(header, rows):
+    """A CSV printed value by value: strings as they are, numbers with ``%.17g``."""
+    lines = [",".join(header)] + [
+        ",".join(c if isinstance(c, str) else "%.17g" % c for c in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _special_values():
+    rng = np.random.default_rng(7)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers = np.concatenate([tens, twos, 10.0 ** np.arange(-30, 31)])
+    # x = 1234567890 + j / 2**20 scales by 1e7 to a fraction j * 1e7 / 2**20 mod 1
+    j = np.arange(2.0 ** 20)
+    near_tie = 1234567890 + j[np.abs(j * 9.5367431640625 % 1 - 0.5) < 5e-6] / 2.0 ** 20
+    values = np.concatenate([
+        [0.0, 5e-324, np.finfo(float).max, np.nan, np.inf, 9.9999999999999999e16,
+         99999.999999999999, 9.9999999999999995e-5, 1e-4, 0.1, 1.0 / 3.0],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        np.arange(-5000, 5000) + 0.5, rng.integers(2 ** 50, 2 ** 51, 2000) + 0.25,
+        np.arange(-20000, 20000) * 0.01, rng.lognormal(0.0, 30.0, 50000),
+        rng.lognormal(0.0, 3.0, 50000), near_tie,
+    ])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("kind", ["bit-patterns", "special-values"])
+def test_write_csv_prints_floats_as_percent_17g(kind, tmp_path):
+    if kind == "bit-patterns":  # both signs, every exponent, subnormals, nan and inf
+        bits = np.random.default_rng(2024).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+        values = bits.view(float)
+    else:
+        values = _special_values()
+    write_csv(tmp_path / "x.csv", ["x"], [values])
+    expected = "x\n" + "".join(map("%.17g\n".__mod__, values.tolist()))
+    assert (tmp_path / "x.csv").read_bytes() == expected.encode()
+
+
+def test_power_table_matches_fractions():
+    hi, _, _, lo = reports._tables()[:4]
+    for i, k in enumerate(range(reports._POW_MIN, reports._POW_MIN + len(hi))):
+        exact = Fraction(10) ** k / 2 ** (600 if k > reports._SCALED else 0)
+        assert (hi[i], lo[i]) == (float(exact), float(exact - Fraction(float(exact))))
+
+
+def test_write_csv_block_edges(tmp_path):
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=(3, reports._BLOCK + 3))
+    write_csv(tmp_path / "wide.csv", ["w"] * wide.shape[1], [wide])
+    assert (tmp_path / "wide.csv").read_bytes() == _percent_csv(["w"] * wide.shape[1],
+                                                               wide.tolist())
+    # rows that only % prints, amid rows of one block and at both ends
+    values = rng.normal(size=(100, 4))
+    values[[0, 50, 51, 99], [1, 0, 3, 2]] = np.nan, 1e300, -np.inf, 2 ** 50 + 0.25
+    names = np.array(["a", "", "bc"])[rng.integers(0, 3, 100)]
+    write_csv(tmp_path / "mixed.csv", ["t", "name", "x"], [values[:, 0], names, values[:, 1:]])
+    assert (tmp_path / "mixed.csv").read_bytes() == _percent_csv(
+        ["t", "name", "x"], [[r[0], n, *r[1:]] for r, n in zip(values.tolist(), names)])
+    write_csv(tmp_path / "empty.csv", ["a", "b"], [np.empty(0), np.empty((0, 1))])
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
 def _per_point_render_plot(series, title, xlabel, ylabel):
@@ -385,7 +449,7 @@ def test_all_zero_verdict_json():
   "witness": {
     "phi": null,
     "re": null,
-    "im": 0.0
+    "im": null
   }
 }"""
 

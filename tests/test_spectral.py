@@ -412,7 +412,7 @@ def _classify_per_mode(spectrum, tol=fs.spectral.CLASSIFY_TOL):
     zeros_at_mode0 = 0
     max_re = -np.inf
     witness_phi = float("nan")
-    witness = complex("nan")
+    witness = complex(np.nan, np.nan)
     for m in range(n):
         eigenvalues = spectrum.eigenvalues[m]
         scale = float(spectrum.coeff_scale[m])
