@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from enum import Enum
@@ -131,15 +132,27 @@ def _cells(x):
     return cells, keep, slow
 
 
-def _column_cells(column):
-    """A column's rows as cells of a separator and the row's text, with the
-    masks of the bytes kept and of the values left to ``%``."""
-    if column.dtype.kind == "U":
-        raw = column.astype(bytes)
-        cells = np.full((len(raw), raw.itemsize + 1), 44, np.uint8)
-        cells[:, 1:] = raw.view(np.uint8).reshape(len(raw), -1)
-        return cells, cells != 0, np.zeros((len(raw), 1), bool)
-    return [a.reshape(len(column), -1) for a in _cells(column)]
+def _row_cells(block):
+    """A block's rows as cells of separators and text, with the masks of the
+    bytes kept and of the values left to ``%``.  Strings are copied as they
+    are; every number of the block goes through one :func:`_cells` call."""
+    rows = len(block[0])
+    numbers = [c.reshape(rows, -1) for c in block if c.dtype.kind != "U"] or [np.empty((rows, 0))]
+    formatted = _cells(numbers[0] if len(numbers) == 1 else np.concatenate(numbers, axis=1))
+    grids = [g.reshape(rows, -1, *g.shape[1:]) for g in formatted]  # row, value, byte
+    parts, at = [], 0
+    for text, run in itertools.groupby(block, key=lambda c: c.dtype.kind == "U"):
+        if text:
+            for column in run:
+                raw = column.astype(bytes)
+                cells = np.full((rows, raw.itemsize + 1), 44, np.uint8)
+                cells[:, 1:] = raw.view(np.uint8).reshape(rows, -1)
+                parts.append((cells, cells != 0, np.zeros((rows, 1), bool)))
+        else:  # adjacent number columns stay one slice
+            width = sum(c[0].size for c in run)
+            parts.append([g[:, at:at + width].reshape(rows, -1) for g in grids])
+            at += width
+    return parts[0] if len(parts) == 1 else [np.concatenate(p, axis=1) for p in zip(*parts)]
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
@@ -157,8 +170,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
         fh.write(",".join(header).encode())
         for r0 in range(0, len(columns[0]), step):
             block = [c[r0:r0 + step] for c in columns]
-            cells, keep, slow = (np.concatenate(grids, axis=1)
-                                 for grids in zip(*map(_column_cells, block)))
+            cells, keep, slow = _row_cells(block)
             cells[:, 0] = 10  # each row ends the line before it
             start = 0
             for r in np.flatnonzero(slow.any(axis=1)):

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUp, SizeError
-from .model import BoundaryCondition, FlockSpec, assemble_line, check_budget
+from .model import BoundaryCondition, FlockSpec, _block_index, assemble_line, check_budget
 
 BLOWUP_GUARD = 1e12
 
@@ -89,6 +90,49 @@ def _step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
     return eye + h @ p
 
 
+def _vehicle_order(t: int, n: int) -> np.ndarray:
+    """The block-order index of each state in vehicle order x_0, v_0, x_1, v_1, ..."""
+    k = _block_index(np.arange(t * n), t, n)
+    return np.stack((k, t * n + k), axis=1).ravel()
+
+
+class _Band:
+    """y <- P y for a banded P, on the rows of a zero-padded buffer.
+
+    The index range is cut into nb blocks of P's half-bandwidth w, so row
+    block b of P meets only the column blocks b - 1, b and b + 1.  A padded
+    row holds w zeros, the state, and zeros up to ``width`` = (nb + 2) w;
+    block b of P y is then the row's 3w-wide window from padded offset b w
+    times ``weights[b]``: one stacked matmul of :meth:`windows` by
+    ``weights`` into :meth:`blocks` steps every row at once, without a copy.
+    """
+
+    def __init__(self, p: np.ndarray):
+        dim = len(p)
+        i, j = np.nonzero(p)
+        self.w = w = max(1, int(np.abs(i - j).max(initial=0)))
+        self.nb = nb = -(-dim // w)
+        self.width = (nb + 2) * w
+        padded = np.zeros((nb * w, self.width))
+        padded[:dim, w:w + dim] = p
+        b = np.arange(nb)[:, None, None] * w
+        # weights[b, c, r] = P[b w + r, (b - 1) w + c]
+        self.weights = padded[b + np.arange(w), b + np.arange(3 * w)[:, None]]
+
+    def windows(self, rows: np.ndarray) -> np.ndarray:
+        """The overlapping read-only (..., nb, C, 3w) view of (..., C, width) padded rows."""
+        return self._view(rows, 0, 3 * self.w, writeable=False)
+
+    def blocks(self, rows: np.ndarray) -> np.ndarray:
+        """The (..., nb, C, w) view of the states in (..., C, width) padded rows."""
+        return self._view(rows, self.w, self.w, writeable=True)
+
+    def _view(self, rows, offset, span, writeable):
+        *lead, s0, s1 = rows.strides
+        return as_strided(rows[..., offset:], (*rows.shape[:-2], self.nb, rows.shape[-2], span),
+                          (*lead, self.w * s1, s0, s1), writeable=writeable)
+
+
 def simulate(
     spec: FlockSpec,
     n: int,
@@ -102,14 +146,17 @@ def simulate(
 
     The system is linear and time-invariant, so one RK4 step is the
     precomputed matrix product y <- P y (see :func:`_step_matrix`).  Steps
-    run in batches of 64 columns of 16 steps: column c starts from
-    Q^c y with Q = P^16, and the 16 steps advance all columns at once as
-    matrix-matrix products.  The guard, the extremum and the storage still
-    cover every step; steps past ``t_max`` that pad the last batch are
-    dropped before any of them.
+    run in vehicle order (x_0, v_0, x_1, v_1, ...), where each vehicle
+    couples only to its neighbours and P is banded, and in batches of 64
+    columns of 16 steps: column c starts from Q^c y with the dense
+    Q = P^16, and each of the 16 steps advances all columns at once as one
+    block-tridiagonal product (see :class:`_Band`).  The guard, the extremum
+    and the storage cover every step and read the vehicle-order batch
+    directly; only the stored rows go back to block order.  Steps past
+    ``t_max`` that pad the last batch are dropped before any of them.
 
-    Raises :class:`BlowUp` with the first offending time when the state
-    max-norm crosses the overflow guard (the expected outcome for
+    Raises :class:`BlowUp` with the first time the state max-norm crosses
+    the overflow guard or stops being finite (the expected outcome for
     genuinely unstable parameter sets).  A run of more than 1e8 steps, or
     whose stored states or dense operators would exceed 2 GiB, raises
     ``ValueError`` before anything is assembled or allocated.
@@ -125,14 +172,12 @@ def simulate(
     # a stride past the last step stores only t = 0, as any larger one (or inf) would
     stride = int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1))
     stored = steps // stride + 1
-    dim = 2 * spec.n_types * n
+    n_agents = spec.n_types * n
+    dim = 2 * n_agents
     check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
     check_budget(f"{_DENSE_ARRAYS} dense {dim} x {dim} arrays", _DENSE_ARRAYS * dim * dim * 8)
 
-    system = assemble_line(spec, n, bc)
-    n_agents = system.n_agents
-
-    y = np.zeros(system.dim)
+    y = np.zeros(dim)
     if initial_state is None:
         y[n_agents] = 1.0  # leader velocity kick
     else:
@@ -142,57 +187,72 @@ def simulate(
         y = initial_state.copy()
 
     times = np.arange(stored) * (stride * dt)
-    states = np.empty((stored, system.dim))
+    states = np.empty((stored, dim))
     states[0] = y
 
     dev = y[:n_agents] - y[0]
     worst = int(np.argmax(np.abs(dev)))
     peak, peak_t, peak_agent = dev[worst], 0.0, worst
 
+    order = _vehicle_order(spec.n_types, n)
+    agent = order[::2]  # block-order agent of each vehicle
+    to_block = np.argsort(order)
+    y = y[order]
     # an out-of-region dt or an unstable flock overflows P, Q or the steps past
     # a guard crossing; the guard reports that as a BlowUp, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _step_matrix(system.entries, dt)
-        q = np.linalg.matrix_power(p, _BLOCK_STEPS)
+        # P and Q are multiplied out in block order and then permuted: products
+        # taken in vehicle order round differently, and the transient growth
+        # carries that up to 1e-12 in the peaks
+        p = _step_matrix(assemble_line(spec, n, bc).entries, dt)
+        q = np.linalg.matrix_power(p, _BLOCK_STEPS)[np.ix_(order, order)]
+        p = p[np.ix_(order, order)]
+        if not np.isfinite(p).all():
+            # some row of P y meets a non-finite entry: the first step is not finite
+            raise BlowUp(dt, np.abs(p @ y).max())
+        band = _Band(p)
         batch = _COLUMNS * _BLOCK_STEPS
-        cols = np.empty((_BLOCK_STEPS + 1, _COLUMNS, system.dim))
-        flat = np.empty((batch, system.dim))
+        cols = np.zeros((_BLOCK_STEPS + 1, _COLUMNS, band.width))
+        # cols[j, c] is the padded state at step done + c * _BLOCK_STEPS + j
+        col_states = cols[:, :, band.w:band.w + dim]
+        src, dst = band.windows(cols), band.blocks(cols)
+        flat = np.empty((batch, dim))
         abs_dev = np.empty((batch, n_agents))
         done = 0  # step number of y
         while done < steps:
             count = min(batch, steps - done)
             k = -(-count // _BLOCK_STEPS)  # columns this batch needs
-            # cols[j, c] is the state at step done + c * _BLOCK_STEPS + j
-            cols[0, 0] = y
+            col_states[0, 0] = y
             for c in range(1, k):
-                np.dot(q, cols[0, c - 1], out=cols[0, c])
+                np.dot(q, col_states[0, c - 1], out=col_states[0, c])
             for j in range(_BLOCK_STEPS):
-                np.dot(cols[j, :k], p.T, out=cols[j + 1, :k])
+                np.matmul(src[j, :, :k], band.weights, out=dst[j + 1, :, :k])
             np.copyto(flat[: k * _BLOCK_STEPS].reshape(k, _BLOCK_STEPS, -1),
-                      cols[1:, :k].swapaxes(0, 1))
-            # row i is step done + 1 + i; padding past t_max goes before any check
+                      col_states[1:, :k].swapaxes(0, 1))
+            # row i is step done + 1 + i, in vehicle order; padding past t_max
+            # goes before any check
             block = flat[:count]
 
             # guard first: rows after a crossing may hold inf or nan
             if not max(block.max(), -block.min()) <= BLOWUP_GUARD:
                 norms = np.abs(block).max(axis=1)
-                over = np.flatnonzero(norms > BLOWUP_GUARD)
-                if over.size:
-                    i = int(over[0])
-                    raise BlowUp((done + 1 + i) * dt, norms[i])
+                i = int(np.flatnonzero(~(norms <= BLOWUP_GUARD))[0])
+                raise BlowUp((done + 1 + i) * dt, norms[i])
 
-            # flat first occurrence: earliest row, then lowest agent
+            # the earliest row, then the lowest block-order agent among its maxima
             mag = abs_dev[:count]
-            np.subtract(block[:, :n_agents], block[:, :1], out=mag)
+            np.subtract(block[:, ::2], block[:, :1], out=mag)
             np.abs(mag, out=mag)
-            row, agent = divmod(int(np.argmax(mag)), n_agents)
-            if mag[row, agent] > abs(peak):
-                peak = block[row, agent] - block[row, 0]
-                peak_t, peak_agent = (done + 1 + row) * dt, agent
+            row, v = divmod(int(np.argmax(mag)), n_agents)
+            if mag[row, v] > abs(peak):
+                ties = np.flatnonzero(mag[row] == mag[row, v])
+                v = ties[np.argmin(agent[ties])]
+                peak = block[row, 2 * v] - block[row, 0]
+                peak_t, peak_agent = (done + 1 + row) * dt, int(agent[v])
 
             first_stored = (done // stride + 1) * stride
             ks = np.arange(first_stored, done + count + 1, stride)
-            states[ks // stride] = block[ks - done - 1]
+            states[ks // stride] = block[np.ix_(ks - done - 1, to_block)]
 
             y = block[-1]
             done += count

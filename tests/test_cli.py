@@ -77,6 +77,17 @@ def test_out_of_region_blowup_prints_no_warning(tmp_path, fig1_path, capsys):
     assert _listing(out) == ["transient.json"]
 
 
+def test_non_finite_step_matrix_blowup_is_reported(tmp_path, fig1_path, capsys):
+    # dt = 1e80 overflows the step matrix to inf and nan
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(fig1_path), "--n", "10", "--dt", "1e80",
+                 "--tmax", "1e81", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("blow-up at t=1000000000000000")
+    assert _listing(out) == ["transient.json"]
+    rep = json.loads((out / "transient.json").read_text())
+    assert rep == {"blew_up": True, "time": 1e80, "norm": None}
+
+
 def test_check_zero_tolerance(fig1_path, fig2_path):
     # figure 1's moment is roundoff, not an instability certificate
     assert main(["check", "--spec", str(fig1_path), "--tol", "0"]) == 0

@@ -14,8 +14,9 @@ from flockstab import (
 from flockstab.figures import figure1, figure3
 from flockstab import simulation
 from flockstab.model import assemble_line
-from flockstab.simulation import _BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING
-from conftest import random_diatomic, random_triatomic
+from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
+                                  _step_matrix, _vehicle_order)
+from conftest import random_diatomic, random_spec, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
 
@@ -106,18 +107,55 @@ def test_three_batch_horizon_matches_four_stage_reference():
     _assert_matches_reference(figure1(), 20, BC1, 3 * _BATCH + 5, 0.01)
 
 
-def test_extremum_ties_go_to_the_first_agent():
-    # uncoupled (zero gains), agents 1 and 2 drift at +1 and -1: their
-    # |deviations| tie exactly in every row, and the peak must stay with agent 1
-    spec = build_spec(
+def _uncoupled_spec():
+    # zero gains: every vehicle keeps its initial velocity
+    return build_spec(
         Arrangement.TRIATOMIC_NN,
         [{"g_x": 0.0, "g_v": 0.0,
           "rho_x": {"1": -0.5, "-1": -0.5},
           "rho_v": {"1": -0.5, "-1": -0.5}}] * 3,
     )
+
+
+def test_extremum_ties_go_to_the_first_agent():
+    # agents 1 and 2 drift at +1 and -1: their |deviations| tie exactly in
+    # every row, and the peak must stay with agent 1
     y0 = np.zeros(24)
     y0[13], y0[14] = 1.0, -1.0
-    _assert_matches_reference(spec, 4, BC1, _BATCH + 7, 0.01, initial_state=y0)
+    _assert_matches_reference(_uncoupled_spec(), 4, BC1, _BATCH + 7, 0.01, initial_state=y0)
+
+
+def test_extremum_ties_go_to_the_first_block_agent():
+    # block agents 1 and n are vehicles 3 and 1: vehicle order meets agent n
+    # first, and the tie must still go to agent 1
+    n = 4
+    y0 = np.zeros(24)
+    y0[12 + 1], y0[12 + n] = -1.0, 1.0
+    assert _vehicle_order(3, n)[[2, 6]].tolist() == [n, 1]
+    traj = simulate(_uncoupled_spec(), n, BC1, 5.0, 0.01, initial_state=y0)
+    assert traj.peak_agent == 1
+    assert traj.peak_deviation == pytest.approx(-5.0)
+    _assert_matches_reference(_uncoupled_spec(), n, BC1, _BATCH + 7, 0.01, initial_state=y0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 20])
+@pytest.mark.parametrize("bc", [BC1, BC2])
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_banded_step_matches_dense_product(arrangement, bc, n):
+    rng = np.random.default_rng([n, bc.value, arrangement.n_types])
+    spec = random_spec(rng, arrangement)
+    order = _vehicle_order(spec.n_types, n)
+    p = _step_matrix(assemble_line(spec, n, bc).entries, 0.01)[np.ix_(order, order)]
+    band = _Band(p)
+    assert band.w <= 4 * (2 * max(arrangement.offsets) + 1)
+    dim = len(p)
+    rows = np.zeros((2, _COLUMNS, band.width))
+    y = rows[0, :, band.w:band.w + dim] = rng.standard_normal((_COLUMNS, dim))
+    np.matmul(band.windows(rows[0]), band.weights, out=band.blocks(rows[1]))
+    error = np.abs(rows[1, :, band.w:band.w + dim] - y @ p.T).max(axis=1)
+    assert np.all(error <= 1e-14 * np.abs(p).sum(axis=1).max() * np.abs(y).max(axis=1))
+    # the padding the next step reads stays zero
+    assert not rows[1, :, :band.w].any() and not rows[1, :, band.w + dim:].any()
 
 
 def test_guard_crossing_in_padding_is_not_a_blowup():
@@ -226,14 +264,39 @@ def test_blowup_raises_with_time():
     assert err.value.norm > 1e12
 
 
-@pytest.mark.parametrize("dt, t_max, when", [(5.0, 1000.0, 35.0), (1e10, 1e10, 1e10)],
-                         ids=["outside-rk4-region", "overflowing-step-matrix"])
+@pytest.mark.parametrize("dt, t_max, when",
+                         [(5.0, 1000.0, 35.0), (1e10, 1e10, 1e10), (1e50, 1e51, 1e50)],
+                         ids=["outside-rk4-region", "overflowing-step-matrix",
+                              "overflowing-first-step"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_past_overflow_raises_no_warning(fig1, dt, t_max, when):
     # steps past the crossing overflow to inf and nan inside the batch
     with pytest.raises(BlowUp) as err:
         simulate(fig1, 20, BC1, t_max, dt)
     assert err.value.time == when
+
+
+def test_non_finite_step_matrix_is_a_blowup(fig1, monkeypatch):
+    # P overflows to inf and nan: the first step is not finite, and the band
+    # of P, which the non-finite entries widen to the whole matrix, is never sized
+    def no_band(p):
+        raise AssertionError("sized the band of a non-finite P")
+
+    monkeypatch.setattr(simulation, "_Band", no_band)
+    with pytest.raises(BlowUp) as err:
+        simulate(fig1, 10, BC1, 1e81, 1e80)
+    assert err.value.time == 1e80
+    assert np.isnan(err.value.norm)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_is_a_blowup(fig1, bad):
+    y0 = np.zeros(60)
+    y0[30], y0[45] = 1.0, bad
+    with pytest.raises(BlowUp) as err:
+        simulate(fig1, 10, BC1, 10.0, 0.01, initial_state=y0)
+    assert err.value.time == 0.01
+    assert not np.isfinite(err.value.norm)
 
 
 def test_simulate_argument_validation(fig1):
