@@ -11,11 +11,16 @@ the path, SVG text, or a JSON result.  :func:`main` runs every command alike:
 load ``--spec``, refuse every output the command may write that exists
 (unless ``--force``), run, create the directory, write the returned files,
 print the summary.  A command that fails leaves no directory behind.
+
+The parser is built once per process, on first use.  :func:`main` runs the
+module's ``cmd_<name>`` binding at call time, so a function put in its place
+(by a test or a tracer) after the first call is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -148,6 +153,7 @@ def cmd_reproduce(args):
     return {f"{run.figure}/{name}": content for name, content in files.items()}, summary, 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flockstab",
@@ -155,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, outputs, help, spec=True, out_required=True):
+    def command(name, outputs, help, spec=True, out_required=True):
         """A subcommand with the shared flags; ``outputs`` names every file it may write."""
         p = sub.add_parser(name, help=help)
         if spec:
@@ -164,27 +170,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (created if absent)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-        p.set_defaults(func=func, outputs=outputs)
+        p.set_defaults(outputs=outputs)
         return p
 
-    p = command("check", cmd_check, ("conditions.json",),
+    p = command("check", ("conditions.json",),
                 "evaluate the instability certificates", out_required=False)
     p.add_argument("--tol", type=float, default=CONDITION_TOL)
 
-    p = command("spectrum", cmd_spectrum, ("spectrum.csv", "verdict.json"),
+    p = command("spectrum", ("spectrum.csv", "verdict.json"),
                 "per-mode spectrum and stability verdict")
     p.add_argument("--n", type=int, required=True, help="cells per agent type")
     p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
 
-    p = command("simulate", cmd_simulate,
-                ("trajectory.csv", "transient.json", "trajectory.svg"),
+    p = command("simulate", ("trajectory.csv", "transient.json", "trajectory.svg"),
                 "line simulation from the leader kick")
     p.add_argument("--n", type=int, required=True, help="cells per agent type")
     p.add_argument("--bc", type=int, choices=(1, 2), default=1)
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--tmax", type=float, default=None)
 
-    p = command("scan", cmd_scan, ("scan.csv", "scan.json", "scan.svg"),
+    p = command("scan", ("scan.csv", "scan.json", "scan.svg"),
                 "transient magnitude vs flock size")
     p.add_argument("--bc", type=int, choices=(1, 2), default=1)
     p.add_argument("--N-list", dest="N_list", required=True,
@@ -193,15 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=float, default=None,
                    help="fixed horizon (default 3N per run)")
 
-    p = command("rootcurves", cmd_rootcurves,
-                ("rootcurves.csv", "rootcurves.svg", "rootcurves.json"),
+    p = command("rootcurves", ("rootcurves.csv", "rootcurves.svg", "rootcurves.json"),
                 "track the two small mode-polynomial roots")
     phi_min, phi_max, phi_points = DEFAULT_GRID
     p.add_argument("--phi-min", type=float, default=phi_min)
     p.add_argument("--phi-max", type=float, default=phi_max)
     p.add_argument("--phi-points", type=int, default=phi_points)
 
-    p = command("reproduce", cmd_reproduce, _reproduce_outputs,
+    p = command("reproduce", _reproduce_outputs,
                 "rerun a bundled reference configuration", spec=False)
     p.add_argument("figure", choices=sorted(FIGURE_RUNS))
 
@@ -218,7 +222,7 @@ def main(argv=None) -> int:
         for path in paths.values():
             if path.exists() and not args.force:
                 raise FileExistsError(f"{path} exists; pass --force to overwrite")
-        files, summary, code = args.func(args)
+        files, summary, code = globals()[f"cmd_{args.command}"](args)
         if not files.keys() <= paths.keys():
             raise RuntimeError(f"unclaimed outputs {sorted(files.keys() - paths.keys())}")
         for directory in dict.fromkeys(path.parent for path in paths.values()):

@@ -239,12 +239,10 @@ _MAX_PLOTTED_AGENTS = 40
 
 def trajectory_svg(traj: Trajectory) -> str:
     """Leader-relative deviations over time, one polyline per sampled agent."""
-    dev = traj.deviations()
     n = traj.n_agents
     step = max(1, int(np.ceil(n / _MAX_PLOTTED_AGENTS)))
-    series = [
-        Series(traj.times, dev[:, k]) for k in range(0, n, step)
-    ]
+    dev = traj.deviations(agents=slice(0, n, step))
+    series = [Series(traj.times, column) for column in dev.T]
     return render_plot(
         series,
         title=f"leader-relative deviations (N={n}, line-type-{traj.bc.value})",

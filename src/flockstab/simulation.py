@@ -63,10 +63,11 @@ class Trajectory:
     def n_agents(self) -> int:
         return self.states.shape[1] // 2
 
-    def deviations(self) -> np.ndarray:
-        """Leader-relative position deviations on the stored grid."""
-        pos = self.states[:, : self.n_agents]
-        return pos - pos[:, [0]]
+    def deviations(self, rows=slice(None), agents=slice(None)) -> np.ndarray:
+        """Leader-relative position deviations on the stored grid, of the
+        given rows (stored steps) and agents only."""
+        pos = self.states[rows, : self.n_agents]
+        return pos[:, agents] - pos[:, :1]
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,8 @@ def simulate(
     the overflow guard or stops being finite (the expected outcome for
     genuinely unstable parameter sets).  A run of more than 1e8 steps, or
     whose stored states or dense operators would exceed 2 GiB, raises
-    ``ValueError`` before anything is assembled or allocated.
+    ``ValueError`` before anything is assembled or allocated, as does an
+    ``initial_state`` of the wrong shape or with a value that is not finite.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -184,6 +186,8 @@ def simulate(
         initial_state = np.asarray(initial_state, dtype=float)
         if initial_state.shape != y.shape:
             raise ValueError(f"initial_state must have shape {y.shape}")
+        if not np.isfinite(initial_state).all():
+            raise ValueError("initial_state must be finite")
         y = initial_state.copy()
 
     times = np.arange(stored) * (stride * dt)
@@ -274,10 +278,9 @@ def transient(traj: Trajectory) -> TransientReport:
     below 10% of the extremum.
     """
     magnitude = traj.peak_deviation
-    dev = traj.deviations()
     span = traj.times[-1] - traj.times[0]
     tail = traj.times >= traj.times[-1] - 0.05 * span
-    tail_max = float(np.abs(dev[tail]).max()) if tail.any() else 0.0
+    tail_max = float(np.abs(traj.deviations(rows=tail)).max()) if tail.any() else 0.0
     converged = magnitude == 0.0 or tail_max < 0.1 * abs(magnitude)
     return TransientReport(
         magnitude=magnitude,

@@ -39,6 +39,29 @@ def test_check_exit_codes(tmp_path, fig1_path, fig2_path, capsys):
     assert main(["check", "--spec", str(missing)]) == 1
 
 
+def test_parser_is_built_once():
+    import flockstab.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_command_is_looked_up_at_call_time(fig1_path, monkeypatch, capsys):
+    import flockstab.cli as cli
+
+    assert main(["check", "--spec", str(fig1_path)]) == 0  # builds the parser
+    calls = []
+
+    def fake_check(args):
+        calls.append(args.spec)
+        return {}, "patched", 0
+
+    monkeypatch.setattr(cli, "cmd_check", fake_check)
+    capsys.readouterr()
+    assert main(["check", "--spec", str(fig1_path)]) == 0
+    assert capsys.readouterr().out == "patched\n"
+    assert calls == [figure1()]
+
+
 @pytest.mark.parametrize("command", [["spectrum", "--n", "4"], ["simulate", "--n", "3"]],
                          ids=["spectrum", "simulate"])
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])

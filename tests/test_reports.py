@@ -16,7 +16,8 @@ from flockstab.rootcurves import (Branch, RootCurve, orthogonality_angle, right_
                                   tangency_report, track_branches)
 from flockstab.simulation import ScanPoint, ScanResult, Trajectory
 from flockstab.spectral import Spectrum
-from flockstab.svg import _HEIGHT, _MARGIN, _PALETTE, _WIDTH, Series, _limits, render_plot
+from flockstab.svg import (_HEIGHT, _MARGIN, _PALETTE, _WIDTH, Series, _cents, _limits,
+                          _print_points, render_plot)
 from conftest import zero_gain_spec
 
 
@@ -289,6 +290,50 @@ def test_trajectory_svg_bytes_match_per_point_writer(monkeypatch):
     monkeypatch.setattr(reports, "render_plot", _per_point_render_plot)
     assert svg.encode() == reports.trajectory_svg(traj).encode()
     assert svg.count("<polyline") == 21
+
+
+def _percent_points(x, y, head, mid, tail):
+    return "".join((head + "%.2f" + mid + "%.2f" + tail) % (a, b) for a, b in zip(x, y))
+
+
+_TIES = np.arange(1, 80_000, 2) / 8.0  # every exact tie of "%.2f" below 1e4
+_NEAR_TIES = (np.arange(0, 1_000_000, 7) + 0.5) / 100.0  # decimal ties, not exact in binary
+_SPECIAL = [0.0, -0.0, 0.005, 9999.994999999999, 9999.995, 9999.996, np.nextafter(1e4, 0.0),
+            1e4, 1e4 + 0.01, -1e-300, -0.004, -3.25, 5e-324, 1e-300, np.nan, np.inf, -np.inf,
+            *_TIES[[0, 1, 2, -1]], *np.nextafter(_TIES[[0, -1]], 0.0),
+            *np.ravel(_NEAR_TIES[[0, 1, 14_357, -1]] * (1.0 + np.array([[-1e-12], [1e-12]])))]
+
+
+def test_coordinates_print_as_percent_2f():
+    rng = np.random.default_rng(19)
+    v = np.concatenate((rng.uniform(0.0, 1e4, 500_000), 10.0 ** rng.uniform(-4.0, 4.0, 500_000)))
+    rng.shuffle(v)
+    assert _cents(v) is not None  # the whole series is printed array-wise
+    for template in (("", ",", " "), ('<circle cx="', '" cy="', '" r="3" fill="#1f77b4"/>')):
+        assert _print_points(v[::2], v[1::2], *template) == _percent_points(
+            v[::2], v[1::2], *template)
+
+
+@pytest.mark.parametrize("value", _SPECIAL, ids=repr)
+def test_special_coordinate_prints_as_percent_2f(value):
+    # each value in its own series, between ordinary ones
+    x, y = np.array([value, 12.3456, 0.5]), np.array([7.0, value, value])
+    assert _print_points(x, y, "", ",", " ") == _percent_points(x, y, "", ",", " ")
+
+
+@pytest.mark.parametrize("offset, array_wise", [(0.0, False), (5e-12, False), (-5e-12, False),
+                                                (2e-11, True), (-2e-11, True), (1e-9, True)])
+def test_near_ties_print_as_percent_2f(offset, array_wise):
+    # 100 v within 1e-9 of a tie goes to "%"; just outside it the kernel rounds
+    values = _NEAR_TIES + offset
+    assert (_cents(values) is not None) == array_wise
+    assert _print_points(values, values[::-1], "", ",", " ") == _percent_points(
+        values, values[::-1], "", ",", " ")
+
+
+def test_exact_ties_print_as_percent_2f():
+    assert _cents(_TIES) is None
+    assert _print_points(_TIES, _TIES, "", ",", " ") == _percent_points(_TIES, _TIES, "", ",", " ")
 
 
 # --- JSON files --------------------------------------------------------------

@@ -13,7 +13,7 @@ from flockstab import (
 )
 from flockstab.figures import figure1, figure3
 from flockstab import simulation
-from flockstab.model import assemble_line
+from flockstab.model import _block_index, assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
                                   _step_matrix, _vehicle_order)
 from conftest import random_diatomic, random_spec, random_triatomic
@@ -240,6 +240,15 @@ def test_translation_invariance(fig3):
     assert np.abs(shifted.deviations() - base.deviations()).max() < 1e-9
 
 
+def test_deviations_of_some_rows_and_agents_are_those_of_all(fig3):
+    traj = simulate(fig3, 8, BC1, 25.0, 0.01)
+    full = traj.states[:, :16] - traj.states[:, [0]]
+    tail = traj.times >= 20.0
+    assert np.array_equal(traj.deviations(), full)
+    assert np.array_equal(traj.deviations(rows=tail), full[tail])
+    assert np.array_equal(traj.deviations(agents=slice(0, 16, 5)), full[:, ::5])
+
+
 @pytest.mark.parametrize("maker", [random_triatomic, random_diatomic])
 def test_refinement_small_case(maker):
     rng = np.random.default_rng(41)
@@ -289,14 +298,24 @@ def test_non_finite_step_matrix_is_a_blowup(fig1, monkeypatch):
     assert np.isnan(err.value.norm)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_state_is_a_blowup(fig1, bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_state_is_refused(fig1, bad):
     y0 = np.zeros(60)
     y0[30], y0[45] = 1.0, bad
-    with pytest.raises(BlowUp) as err:
+    with pytest.raises(ValueError, match="finite"):
         simulate(fig1, 10, BC1, 10.0, 0.01, initial_state=y0)
-    assert err.value.time == 0.01
-    assert not np.isfinite(err.value.norm)
+
+
+def test_nan_first_step_from_a_finite_start_is_a_blowup(fig1):
+    # vehicles 15 and 16 start at 1e300; at dt = 1000 (P finite, entries ~1e12)
+    # a row of the first step meets +inf and -inf products and sums them to nan,
+    # which only the guard's not-finite test catches
+    y0 = np.zeros(60)
+    y0[[_block_index(15, 3, 10), _block_index(16, 3, 10)]] = 1e300
+    with pytest.raises(BlowUp) as err:
+        simulate(fig1, 10, BC1, 1e4, 1e3, initial_state=y0)
+    assert err.value.time == 1e3
+    assert np.isnan(err.value.norm)
 
 
 def test_simulate_argument_validation(fig1):
