@@ -61,9 +61,11 @@ def _scan(spec, bc, n_values, dt, t_max=None):
 
 def cmd_check(args):
     report = conditions(args.spec, tol=args.tol)
-    files = {} if args.out is None else {"conditions.json": report}
+    # encoded once: the summary, and with a final newline the file
+    text = json.dumps(reports.canon(report), indent=2)
+    files = {} if args.out is None else {"conditions.json": text + "\n"}
     code = 0 if report.overall is Overall.NECESSARY_CONDITIONS_HOLD else 2
-    return files, json.dumps(reports.canon(report), indent=2), code
+    return files, text, code
 
 
 def cmd_spectrum(args):

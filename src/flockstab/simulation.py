@@ -18,12 +18,13 @@ from .model import BoundaryCondition, FlockSpec, _block_index, assemble_line, ch
 
 BLOWUP_GUARD = 1e12
 
-#: RK4 steps per column; consecutive column starts are Q = P^_BLOCK_STEPS apart
-_BLOCK_STEPS = 16
+#: RK4 steps per column; consecutive column starts are Q = P^_BLOCK_STEPS apart,
+#: built without subnormal entries by :func:`_column_start_matrix`
+_BLOCK_STEPS = 32
 
-#: columns stepped together, one matrix-matrix product per step; a batch of
+#: columns stepped together, one stacked banded product per step; a batch of
 #: _COLUMNS * _BLOCK_STEPS steps shares one guard, extremum and storage pass
-_COLUMNS = 64
+_COLUMNS = 32
 
 #: target spacing of stored trajectory samples, in time units
 STORE_SPACING = 0.1
@@ -34,8 +35,10 @@ DEFAULT_DT = 0.01
 #: a run is refused over this many RK4 steps (2500 times figure 1a's 40 000)
 _MAX_STEPS = 10**8
 
-#: dense dim x dim arrays at a run's peak, M, P, Q and Horner temporaries (69 MB
-#: at dim 1200 under tracemalloc): 2 GiB allows dim 6688, about 3300 vehicles
+#: dense dim x dim arrays at a run's peak: M and the Horner temporaries of P
+#: (69.2 MB at dim 1200 under tracemalloc); the later Q build holds P, P^16
+#: scaled in place, the square and a mask, 3.1 arrays: 2 GiB allows dim 6688,
+#: about 3300 vehicles
 _DENSE_ARRAYS = 6
 
 
@@ -97,6 +100,37 @@ def _vehicle_order(t: int, n: int) -> np.ndarray:
     return np.stack((k, t * n + k), axis=1).ravel()
 
 
+def _column_start_matrix(p: np.ndarray) -> tuple[np.ndarray, float]:
+    """Q = 2^(2a) P^_BLOCK_STEPS without subnormal entries, and the factor 2^(-2a).
+
+    Q is the square of H = 2^a P^(_BLOCK_STEPS/2), so (Q y) 2^(-2a) is
+    P^_BLOCK_STEPS y, and both scalings are exact wherever no value is
+    subnormal.  Unscaled, the power holds subnormal entries on long lines
+    (976 in P^32 of the dim-360 figure 1 and 2 lines), which slow every
+    product that meets them.  a lifts the smallest product of two entries of
+    H into the normal range, but no further than keeps every column start
+    from a state within the blow-up guard finite, nor than 2^(-2a) stays
+    normal.  Entries of Q still below the normal range are set to zero.
+    """
+    half = np.linalg.matrix_power(p, _BLOCK_STEPS // 2)
+    q = np.abs(half)  # scratch until it holds the square
+    top = q.max()
+    a = 0
+    if np.isfinite(top) and top > 0.0:
+        low = np.min(q, where=q > 0.0, initial=top)
+        # entries lie in [2^(e_low - 1), 2^e_top): a product of two, lifted by
+        # 2^(2a), is normal from 2a >= -1020 - 2 e_low; a sum of dim of them
+        # times a state within the guard stays below 2^1023
+        lift = -510 - int(np.frexp(low)[1])
+        room = int((1023 - np.log2(len(p) * BLOWUP_GUARD)) // 2) - int(np.frexp(top)[1])
+        a = max(0, min(lift, room, 511))
+    half *= 2.0 ** a
+    np.matmul(half, half, out=q)
+    np.abs(q, out=half)
+    q[half < np.finfo(float).tiny] = 0.0
+    return q, 2.0 ** (-2 * a)
+
+
 class _Band:
     """y <- P y for a banded P, on the rows of a zero-padded buffer.
 
@@ -148,13 +182,15 @@ def simulate(
     The system is linear and time-invariant, so one RK4 step is the
     precomputed matrix product y <- P y (see :func:`_step_matrix`).  Steps
     run in vehicle order (x_0, v_0, x_1, v_1, ...), where each vehicle
-    couples only to its neighbours and P is banded, and in batches of 64
-    columns of 16 steps: column c starts from Q^c y with the dense
-    Q = P^16, and each of the 16 steps advances all columns at once as one
-    block-tridiagonal product (see :class:`_Band`).  The guard, the extremum
-    and the storage cover every step and read the vehicle-order batch
-    directly; only the stored rows go back to block order.  Steps past
-    ``t_max`` that pad the last batch are dropped before any of them.
+    couples only to its neighbours and P is banded, and in batches of 32
+    columns of 32 steps: column c starts from Q^c y with the dense
+    Q = P^32, scaled by a power of two so that it holds no subnormal entry
+    (see :func:`_column_start_matrix`), and each of the 32 steps advances
+    all columns at once as one block-tridiagonal product (see :class:`_Band`).
+    The guard, the extremum and the storage cover every step and read the
+    (steps + 1, columns, width) column buffer directly, in time order; only
+    the stored rows go back to block order.  Steps past ``t_max`` that pad
+    the last column are zeroed before any of them.
 
     Raises :class:`BlowUp` with the first time the state max-norm crosses
     the overflow guard or stops being finite (the expected outcome for
@@ -209,7 +245,8 @@ def simulate(
         # taken in vehicle order round differently, and the transient growth
         # carries that up to 1e-12 in the peaks
         p = _step_matrix(assemble_line(spec, n, bc).entries, dt)
-        q = np.linalg.matrix_power(p, _BLOCK_STEPS)[np.ix_(order, order)]
+        q, unscale = _column_start_matrix(p)
+        q = q[np.ix_(order, order)]
         p = p[np.ix_(order, order)]
         if not np.isfinite(p).all():
             # some row of P y meets a non-finite entry: the first step is not finite
@@ -220,45 +257,59 @@ def simulate(
         # cols[j, c] is the padded state at step done + c * _BLOCK_STEPS + j
         col_states = cols[:, :, band.w:band.w + dim]
         src, dst = band.windows(cols), band.blocks(cols)
-        flat = np.empty((batch, dim))
-        abs_dev = np.empty((batch, n_agents))
+        # agents first: the per-row extrema below are then elementwise over
+        # (steps, columns) planes, not one short reduction per row
+        positions = np.empty((n_agents, _BLOCK_STEPS, _COLUMNS))
+        # the stored rows of a batch, gathered whole and then put in block order
+        kept = np.empty((min(batch, batch // stride + 1), band.width))
+        padded_rows = cols.reshape(-1, band.width)
+        from_padded = to_block + band.w
         done = 0  # step number of y
         while done < steps:
             count = min(batch, steps - done)
             k = -(-count // _BLOCK_STEPS)  # columns this batch needs
             col_states[0, 0] = y
             for c in range(1, k):
-                np.dot(q, col_states[0, c - 1], out=col_states[0, c])
+                start = col_states[0, c]
+                np.dot(q, col_states[0, c - 1], out=start)
+                start *= unscale
             for j in range(_BLOCK_STEPS):
                 np.matmul(src[j, :, :k], band.weights, out=dst[j + 1, :, :k])
-            np.copyto(flat[: k * _BLOCK_STEPS].reshape(k, _BLOCK_STEPS, -1),
-                      col_states[1:, :k].swapaxes(0, 1))
-            # row i is step done + 1 + i, in vehicle order; padding past t_max
-            # goes before any check
-            block = flat[:count]
+            # rows[j, c] is step done + 1 + i, i = c * _BLOCK_STEPS + j; the
+            # steps past t_max that pad the last column are zeroed before any check
+            cols[count - (k - 1) * _BLOCK_STEPS + 1:, k - 1] = 0.0
+            rows = cols[1:, :k]
 
             # guard first: rows after a crossing may hold inf or nan
-            if not max(block.max(), -block.min()) <= BLOWUP_GUARD:
-                norms = np.abs(block).max(axis=1)
+            if not max(rows.max(), -rows.min()) <= BLOWUP_GUARD:
+                norms = np.abs(rows).max(axis=2).T.ravel()
                 i = int(np.flatnonzero(~(norms <= BLOWUP_GUARD))[0])
                 raise BlowUp((done + 1 + i) * dt, norms[i])
 
-            # the earliest row, then the lowest block-order agent among its maxima
-            mag = abs_dev[:count]
-            np.subtract(block[:, ::2], block[:, :1], out=mag)
-            np.abs(mag, out=mag)
-            row, v = divmod(int(np.argmax(mag)), n_agents)
-            if mag[row, v] > abs(peak):
-                ties = np.flatnonzero(mag[row] == mag[row, v])
+            # a row's largest |x_v - x_0| is max x - x_0 or x_0 - min x: rounding
+            # is monotone and symmetric, so both equal the largest rounded difference
+            x = positions[:, :, :k]
+            np.copyto(x, col_states[1:, :k, ::2].transpose(2, 0, 1))
+            x0 = x[0]
+            mag = np.maximum(x.max(axis=0) - x0, x0 - x.min(axis=0))
+            if mag.max() > abs(peak):
+                # the earliest row, then the lowest block-order agent among its maxima
+                i = int(np.argmax(mag.T))
+                c, j = divmod(i, _BLOCK_STEPS)
+                row = col_states[j + 1, c]
+                dev = row[::2] - row[0]
+                ties = np.flatnonzero(np.abs(dev) == mag[j, c])
                 v = ties[np.argmin(agent[ties])]
-                peak = block[row, 2 * v] - block[row, 0]
-                peak_t, peak_agent = (done + 1 + row) * dt, int(agent[v])
+                peak, peak_t, peak_agent = dev[v], (done + 1 + i) * dt, int(agent[v])
 
-            first_stored = (done // stride + 1) * stride
-            ks = np.arange(first_stored, done + count + 1, stride)
-            states[ks // stride] = block[np.ix_(ks - done - 1, to_block)]
+            first = done // stride + 1  # the first stored row past y
+            ks = np.arange(first * stride, done + count + 1, stride)
+            c, j = np.divmod(ks - done - 1, _BLOCK_STEPS)
+            np.take(padded_rows, (j + 1) * _COLUMNS + c, axis=0, out=kept[:len(ks)])
+            states[first:first + len(ks)] = kept[:len(ks), from_padded]
 
-            y = block[-1]
+            c, j = divmod(count - 1, _BLOCK_STEPS)
+            y = col_states[j + 1, c]
             done += count
 
     return Trajectory(

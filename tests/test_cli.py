@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 import flockstab as fs
+from flockstab import reports
 from flockstab.cli import main
 from flockstab.figures import figure1, figure2
 from conftest import alpha_roundoff_spec
@@ -248,6 +249,20 @@ def test_check_writes_report(tmp_path, fig1_path):
     assert main(["check", "--spec", str(fig1_path), "--out", str(out)]) == 0
     report = json.loads((out / "conditions.json").read_text())
     assert report["overall"] == "necessary-conditions-hold"
+
+
+@pytest.mark.parametrize("figure", ["figure1", "figure2", "figure3", "figure3c"])
+def test_check_writes_the_bytes_it_prints(tmp_path, capsys, figure):
+    # the report is encoded once: the file is the printed summary, and both
+    # are what write_json makes of the same report
+    spec = getattr(fs.figures, figure)()
+    path = tmp_path / "spec.json"
+    fs.save_spec(spec, path)
+    main(["check", "--spec", str(path), "--out", str(tmp_path / "out")])
+    written = (tmp_path / "out" / "conditions.json").read_bytes()
+    assert written == capsys.readouterr().out.encode("utf-8")
+    reports.write_json(tmp_path / "direct.json", fs.conditions(spec))
+    assert written == (tmp_path / "direct.json").read_bytes()
 
 
 def test_spectrum_outputs(tmp_path, fig1_path):

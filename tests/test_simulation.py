@@ -11,11 +11,11 @@ from flockstab import (
     simulate,
     transient,
 )
-from flockstab.figures import figure1, figure3
+from flockstab.figures import figure1, figure2, figure3
 from flockstab import simulation
 from flockstab.model import _block_index, assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
-                                  _step_matrix, _vehicle_order)
+                                  _column_start_matrix, _step_matrix, _vehicle_order)
 from conftest import random_diatomic, random_spec, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -117,15 +117,27 @@ def _uncoupled_spec():
     )
 
 
-def test_extremum_ties_go_to_the_first_agent():
+# the last batch of a run this long holds three full columns and a partial one,
+# as steps % _BATCH > _BLOCK_STEPS
+_LAST_COLUMN_PARTIAL = 2 * _BATCH + 3 * _BLOCK_STEPS + 5
+
+
+@pytest.mark.parametrize("steps", [_BATCH + 7, _LAST_COLUMN_PARTIAL])
+def test_extremum_ties_go_to_the_first_agent(steps):
     # agents 1 and 2 drift at +1 and -1: their |deviations| tie exactly in
-    # every row, and the peak must stay with agent 1
+    # every row and grow, so the peak is the last step, in a partial last
+    # column whose padding past t_max holds larger ones; it must stay with agent 1
+    assert steps % _BLOCK_STEPS > 1  # the last column is partial
     y0 = np.zeros(24)
     y0[13], y0[14] = 1.0, -1.0
-    _assert_matches_reference(_uncoupled_spec(), 4, BC1, _BATCH + 7, 0.01, initial_state=y0)
+    traj = simulate(_uncoupled_spec(), 4, BC1, steps * 0.01, 0.01, initial_state=y0)
+    assert traj.peak_time == steps * 0.01
+    assert traj.peak_agent == 1
+    _assert_matches_reference(_uncoupled_spec(), 4, BC1, steps, 0.01, initial_state=y0)
 
 
-def test_extremum_ties_go_to_the_first_block_agent():
+@pytest.mark.parametrize("steps", [_BATCH + 7, _LAST_COLUMN_PARTIAL])
+def test_extremum_ties_go_to_the_first_block_agent(steps):
     # block agents 1 and n are vehicles 3 and 1: vehicle order meets agent n
     # first, and the tie must still go to agent 1
     n = 4
@@ -135,7 +147,7 @@ def test_extremum_ties_go_to_the_first_block_agent():
     traj = simulate(_uncoupled_spec(), n, BC1, 5.0, 0.01, initial_state=y0)
     assert traj.peak_agent == 1
     assert traj.peak_deviation == pytest.approx(-5.0)
-    _assert_matches_reference(_uncoupled_spec(), n, BC1, _BATCH + 7, 0.01, initial_state=y0)
+    _assert_matches_reference(_uncoupled_spec(), n, BC1, steps, 0.01, initial_state=y0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 20])
@@ -156,6 +168,23 @@ def test_banded_step_matches_dense_product(arrangement, bc, n):
     assert np.all(error <= 1e-14 * np.abs(p).sum(axis=1).max() * np.abs(y).max(axis=1))
     # the padding the next step reads stays zero
     assert not rows[1, :, :band.w].any() and not rows[1, :, band.w + dim:].any()
+
+
+@pytest.mark.parametrize("make, n, bc, raw_subnormal", [(figure1, 60, BC1, True),
+                                                      (figure2, 60, BC1, True),
+                                                      (figure3, 50, BC2, False)])
+def test_column_start_matrix_has_no_subnormal_entry(make, n, bc, raw_subnormal):
+    # N = 180 for figures 1 and 2 and N = 100 for figure 3; the raw power of
+    # the first two holds subnormal entries, the scaled one none
+    p = _step_matrix(assemble_line(make(), n, bc).entries, 0.01)
+    q, unscale = _column_start_matrix(p)
+    tiny = np.finfo(float).tiny
+    raw = np.linalg.matrix_power(p, _BLOCK_STEPS)
+    assert ((raw != 0.0) & (np.abs(raw) < tiny)).any() == raw_subnormal
+    assert not ((q != 0.0) & (np.abs(q) < tiny)).any()
+    assert np.log2(unscale) % 2 == 0 and unscale <= 1.0
+    # Q / 2^(2a) is the power itself, but for the subnormal range
+    assert np.abs(q * unscale - raw).max() < tiny
 
 
 def test_guard_crossing_in_padding_is_not_a_blowup():
