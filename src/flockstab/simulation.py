@@ -35,11 +35,9 @@ DEFAULT_DT = 0.01
 #: a run is refused over this many RK4 steps (2500 times figure 1a's 40 000)
 _MAX_STEPS = 10**8
 
-#: dense dim x dim arrays at a run's peak: M and the Horner temporaries of P
-#: (69.2 MB at dim 1200 under tracemalloc); the later Q build holds P, P^16
-#: scaled in place, the square and a mask, 3.1 arrays: 2 GiB allows dim 6688,
-#: about 3300 vehicles
-_DENSE_ARRAYS = 6
+#: dense dim x dim arrays a run holds at once, rounded up (2.46, 28.3 MB, at dim 1200
+#: under tracemalloc: Q and the column buffers): 2 GiB allows dim 9459, 4700 vehicles
+_DENSE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -82,16 +80,21 @@ class TransientReport:
 
 
 def _step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of y' = M y as a matrix: y <- P y.
+    """One classical RK4 step of y' = M y as a matrix, M in vehicle order: y <- P y.
 
-    P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, by Horner's rule.
+    P = I + hM (I + hM/2 (I + hM/3 (I + hM/4))), h = dt, by Horner's rule as four
+    band products of hM on the rows of the identity (row i holds column i of P).
     """
-    h = dt * m
-    eye = np.eye(len(m))
-    p = eye + h / 4.0
-    p = eye + (h / 3.0) @ p
-    p = eye + (h / 2.0) @ p
-    return eye + h @ p
+    band = _Band(m)
+    band.weights *= dt
+    del m  # the caller's only copy: the row buffers take its place
+    i = np.arange(band.dim)
+    rows = band.power(0)
+    for k in (4.0, 3.0, 2.0, 1.0):
+        rows = band.power(1, rows)
+        rows /= k
+        rows[i, band.w + i] += 1.0
+    return rows[:, band.w:band.w + band.dim].T
 
 
 def _vehicle_order(t: int, n: int) -> np.ndarray:
@@ -100,35 +103,36 @@ def _vehicle_order(t: int, n: int) -> np.ndarray:
     return np.stack((k, t * n + k), axis=1).ravel()
 
 
-def _column_start_matrix(p: np.ndarray) -> tuple[np.ndarray, float]:
+def _column_start_matrix(band: _Band) -> tuple[np.ndarray, float]:
     """Q = 2^(2a) P^_BLOCK_STEPS without subnormal entries, and the factor 2^(-2a).
 
-    Q is the square of H = 2^a P^(_BLOCK_STEPS/2), so (Q y) 2^(-2a) is
-    P^_BLOCK_STEPS y, and both scalings are exact wherever no value is
-    subnormal.  Unscaled, the power holds subnormal entries on long lines
-    (976 in P^32 of the dim-360 figure 1 and 2 lines), which slow every
-    product that meets them.  a lifts the smallest product of two entries of
-    H into the normal range, but no further than keeps every column start
-    from a state within the blow-up guard finite, nor than 2^(-2a) stays
-    normal.  Entries of Q still below the normal range are set to zero.
+    Band products of P on the identity's rows make H = P^(_BLOCK_STEPS/2), then
+    from 2^(2a) H, scaled in place, Q = 2^(2a) H P^(_BLOCK_STEPS/2); both scalings
+    are exact wherever no value is subnormal.  The raw power of a long line holds
+    subnormal entries (976 for the dim-360 figure 1 and 2 lines), which slow
+    every product that meets them.  a lifts the smallest product of two entries
+    of H into the normal range, no further than keeps 2^(-2a) normal and column
+    starts from states within the guard finite; entries of Q still subnormal are
+    set to zero.
     """
-    half = np.linalg.matrix_power(p, _BLOCK_STEPS // 2)
-    q = np.abs(half)  # scratch until it holds the square
-    top = q.max()
+    rows = band.power(_BLOCK_STEPS // 2)
+    mag = np.abs(rows)
+    top = mag.max()
     a = 0
     if np.isfinite(top) and top > 0.0:
-        low = np.min(q, where=q > 0.0, initial=top)
-        # entries lie in [2^(e_low - 1), 2^e_top): a product of two, lifted by
-        # 2^(2a), is normal from 2a >= -1020 - 2 e_low; a sum of dim of them
-        # times a state within the guard stays below 2^1023
+        low = np.min(mag, where=mag > 0.0, initial=top)
+        # entries of H lie in [2^(e_low - 1), 2^e_top); Q = 2^(2a) H H, a factor P at a
+        # time, sums products of two entries of H lifted by 2^(2a): each is normal from
+        # 2a >= -1020 - 2 e_low, and dim of them times a state within the guard < 2^1023
         lift = -510 - int(np.frexp(low)[1])
-        room = int((1023 - np.log2(len(p) * BLOWUP_GUARD)) // 2) - int(np.frexp(top)[1])
+        room = int((1023 - np.log2(band.dim * BLOWUP_GUARD)) // 2) - int(np.frexp(top)[1])
         a = max(0, min(lift, room, 511))
-    half *= 2.0 ** a
-    np.matmul(half, half, out=q)
-    np.abs(q, out=half)
-    q[half < np.finfo(float).tiny] = 0.0
-    return q, 2.0 ** (-2 * a)
+    del mag
+    rows *= 2.0 ** (2 * a)
+    q = band.power(_BLOCK_STEPS // 2, rows)[:, band.w:band.w + band.dim]
+    q[np.abs(q) < np.finfo(float).tiny] = 0.0
+    # row i holds column i of Q; the column-start GEMVs want Q itself in C order
+    return np.ascontiguousarray(q.T), 2.0 ** (-2 * a)
 
 
 class _Band:
@@ -143,7 +147,7 @@ class _Band:
     """
 
     def __init__(self, p: np.ndarray):
-        dim = len(p)
+        self.dim = dim = len(p)
         i, j = np.nonzero(p)
         self.w = w = max(1, int(np.abs(i - j).max(initial=0)))
         self.nb = nb = -(-dim // w)
@@ -153,6 +157,18 @@ class _Band:
         b = np.arange(nb)[:, None, None] * w
         # weights[b, c, r] = P[b w + r, (b - 1) w + c]
         self.weights = padded[b + np.arange(w), b + np.arange(3 * w)[:, None]]
+
+    def power(self, k: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """P^k y for each (dim, width) padded row y, those of the identity by default,
+        by k products alternating with one more buffer: returns the one holding it."""
+        if rows is None:
+            rows = np.zeros((self.dim, self.width))
+            np.fill_diagonal(rows[:, self.w:], 1.0)
+        spare = np.zeros_like(rows)
+        for _ in range(k):
+            np.matmul(self.windows(rows), self.weights, out=self.blocks(spare))
+            rows, spare = spare, rows
+        return rows
 
     def windows(self, rows: np.ndarray) -> np.ndarray:
         """The overlapping read-only (..., nb, C, 3w) view of (..., C, width) padded rows."""
@@ -168,36 +184,29 @@ class _Band:
                           (*lead, self.w * s1, s0, s1), writeable=writeable)
 
 
-def simulate(
-    spec: FlockSpec,
-    n: int,
-    bc: BoundaryCondition,
-    t_max: float,
-    dt: float = DEFAULT_DT,
-    *,
-    initial_state: np.ndarray | None = None,
-) -> Trajectory:
-    """Integrate the line system with classical fixed-step RK4.
+def _grid(t_max: float, dt: float) -> tuple[int, int]:
+    """The RK4 steps of a run and the stride between its stored states; a stride
+    past the last step stores only t = 0, as any larger one (or inf) would."""
+    steps = int(round(t_max / dt))
+    return steps, int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1))
 
-    The system is linear and time-invariant, so one RK4 step is the
-    precomputed matrix product y <- P y (see :func:`_step_matrix`).  Steps
-    run in vehicle order (x_0, v_0, x_1, v_1, ...), where each vehicle
-    couples only to its neighbours and P is banded, and in batches of 32
-    columns of 32 steps: column c starts from Q^c y with the dense
-    Q = P^32, scaled by a power of two so that it holds no subnormal entry
-    (see :func:`_column_start_matrix`), and each of the 32 steps advances
-    all columns at once as one block-tridiagonal product (see :class:`_Band`).
-    The guard, the extremum and the storage cover every step and read the
-    (steps + 1, columns, width) column buffer directly, in time order; only
-    the stored rows go back to block order.  Steps past ``t_max`` that pad
-    the last column are zeroed before any of them.
+
+def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
+             dt: float = DEFAULT_DT) -> Trajectory:
+    """Integrate the line system from the leader kick with classical fixed-step RK4.
+
+    One RK4 step is the matrix product y <- P y.  In vehicle order (x_0, v_0,
+    x_1, v_1, ...) M and P are banded, and one block-tridiagonal product (see
+    :class:`_Band`) builds P from M, Q = P^32 from P (see
+    :func:`_column_start_matrix`), and steps batches of 32 columns of 32
+    steps: column c starts from Q^c y, and each step advances all columns at
+    once.  The guard, the extremum and the storage cover every step.
 
     Raises :class:`BlowUp` with the first time the state max-norm crosses
     the overflow guard or stops being finite (the expected outcome for
     genuinely unstable parameter sets).  A run of more than 1e8 steps, or
     whose stored states or dense operators would exceed 2 GiB, raises
-    ``ValueError`` before anything is assembled or allocated, as does an
-    ``initial_state`` of the wrong shape or with a value that is not finite.
+    ``ValueError`` before anything is assembled or allocated.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -206,56 +215,47 @@ def simulate(
     if t_max / dt > _MAX_STEPS:
         raise ValueError(f"t_max / dt = {t_max / dt:.6g} RK4 steps, "
                          f"over the budget of {_MAX_STEPS:.0e} steps")
-    steps = int(round(t_max / dt))
-    # a stride past the last step stores only t = 0, as any larger one (or inf) would
-    stride = int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1))
+    steps, stride = _grid(t_max, dt)
     stored = steps // stride + 1
-    n_agents = spec.n_types * n
-    dim = 2 * n_agents
+    dim = 2 * spec.n_types * n
     check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
     check_budget(f"{_DENSE_ARRAYS} dense {dim} x {dim} arrays", _DENSE_ARRAYS * dim * dim * 8)
+    y0 = np.zeros(dim)
+    y0[dim // 2] = 1.0  # leader velocity kick
+    return _integrate(spec, n, bc, t_max, dt, y0)
 
-    y = np.zeros(dim)
-    if initial_state is None:
-        y[n_agents] = 1.0  # leader velocity kick
-    else:
-        initial_state = np.asarray(initial_state, dtype=float)
-        if initial_state.shape != y.shape:
-            raise ValueError(f"initial_state must have shape {y.shape}")
-        if not np.isfinite(initial_state).all():
-            raise ValueError("initial_state must be finite")
-        y = initial_state.copy()
 
-    times = np.arange(stored) * (stride * dt)
-    states = np.empty((stored, dim))
-    states[0] = y
+def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float,
+               y0: np.ndarray) -> Trajectory:
+    """:func:`simulate` from the state y0, in block order, without its checks."""
+    steps, stride = _grid(t_max, dt)
+    n_agents = len(y0) // 2
+    times = np.arange(steps // stride + 1) * (stride * dt)
+    states = np.empty((len(times), len(y0)))
+    states[0] = y0
 
-    dev = y[:n_agents] - y[0]
+    dev = y0[:n_agents] - y0[0]
     worst = int(np.argmax(np.abs(dev)))
     peak, peak_t, peak_agent = dev[worst], 0.0, worst
 
     order = _vehicle_order(spec.n_types, n)
     agent = order[::2]  # block-order agent of each vehicle
     to_block = np.argsort(order)
-    y = y[order]
+    y = y0[order]
     # an out-of-region dt or an unstable flock overflows P, Q or the steps past
     # a guard crossing; the guard reports that as a BlowUp, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # P and Q are multiplied out in block order and then permuted: products
-        # taken in vehicle order round differently, and the transient growth
-        # carries that up to 1e-12 in the peaks
-        p = _step_matrix(assemble_line(spec, n, bc).entries, dt)
-        q, unscale = _column_start_matrix(p)
-        q = q[np.ix_(order, order)]
-        p = p[np.ix_(order, order)]
+        p = _step_matrix(assemble_line(spec, n, bc).entries[np.ix_(order, order)], dt)
         if not np.isfinite(p).all():
             # some row of P y meets a non-finite entry: the first step is not finite
             raise BlowUp(dt, np.abs(p @ y).max())
         band = _Band(p)
+        del p
+        q, unscale = _column_start_matrix(band)
         batch = _COLUMNS * _BLOCK_STEPS
         cols = np.zeros((_BLOCK_STEPS + 1, _COLUMNS, band.width))
         # cols[j, c] is the padded state at step done + c * _BLOCK_STEPS + j
-        col_states = cols[:, :, band.w:band.w + dim]
+        col_states = cols[:, :, band.w:band.w + band.dim]
         src, dst = band.windows(cols), band.blocks(cols)
         # agents first: the per-row extrema below are then elementwise over
         # (steps, columns) planes, not one short reduction per row

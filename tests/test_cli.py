@@ -201,7 +201,7 @@ def test_simulate_over_the_step_budget_is_an_input_error(tmp_path, fig1_path, ca
 
 @pytest.mark.parametrize(
     "argv, what",
-    [(["simulate", "--n", "100000", "--tmax", "1"], "6 dense 600000 x 600000 arrays"),
+    [(["simulate", "--n", "100000", "--tmax", "1"], "3 dense 600000 x 600000 arrays"),
      (["spectrum", "--n", "100000000"], "100000000 modes of 6 roots")],
     ids=["simulate", "spectrum"],
 )
