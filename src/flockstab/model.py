@@ -68,8 +68,15 @@ def check_budget(what: str, nbytes: int) -> None:
         raise ValueError(f"{what} take {nbytes} bytes, over the budget of {_MAX_BYTES} bytes")
 
 
+def _weight(w) -> float:
+    """float(w), refusing a bool (JSON's true would otherwise read as 1.0)."""
+    if isinstance(w, (bool, np.bool_)):
+        raise ShapeError(f"weights must be numbers, got {w!r}")
+    return float(w)
+
+
 def _freeze_rho(rho: Mapping[int, float]) -> Mapping[int, float]:
-    return MappingProxyType({int(j): float(w) for j, w in sorted(rho.items())})
+    return MappingProxyType({int(j): _weight(w) for j, w in sorted(rho.items())})
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,8 @@ class AgentParams:
         object.__setattr__(self, "rho_x", _freeze_rho(self.rho_x))
         object.__setattr__(self, "rho_v", _freeze_rho(self.rho_v))
         values = [self.g_x, self.g_v, *self.rho_x.values(), *self.rho_v.values()]
-        if not all(isinstance(v, numbers.Real) and np.isfinite(v) for v in values):
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)
+                   for v in values):
             raise ShapeError("agent parameters must be finite numbers")
 
 
@@ -150,14 +158,6 @@ class SystemMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_agents(self) -> int:
-        return self.dim // 2
-
 
 def _as_agent(raw, offsets: Sequence[int]) -> AgentParams:
     if isinstance(raw, AgentParams):
@@ -179,7 +179,7 @@ def _as_agent(raw, offsets: Sequence[int]) -> AgentParams:
 def _complete(rho: dict, infer, which: str, offsets: Sequence[int]) -> dict:
     """Fill omitted offsets with zero, optionally deriving one from the constraint."""
     try:
-        rho = {int(j): float(w) for j, w in rho.items()}
+        rho = {int(j): _weight(w) for j, w in rho.items()}
     except TypeError as exc:
         raise ShapeError(f"{which}: weights must be numbers: {exc}") from exc
     for entry in infer:

@@ -103,36 +103,15 @@ def _vehicle_order(t: int, n: int) -> np.ndarray:
     return np.stack((k, t * n + k), axis=1).ravel()
 
 
-def _column_start_matrix(band: _Band) -> tuple[np.ndarray, float]:
-    """Q = 2^(2a) P^_BLOCK_STEPS without subnormal entries, and the factor 2^(-2a).
-
-    Band products of P on the identity's rows make H = P^(_BLOCK_STEPS/2), then
-    from 2^(2a) H, scaled in place, Q = 2^(2a) H P^(_BLOCK_STEPS/2); both scalings
-    are exact wherever no value is subnormal.  The raw power of a long line holds
+def _column_start_matrix(band: _Band) -> np.ndarray:
+    """Q = P^_BLOCK_STEPS by band products of P on the identity's rows, with the
+    entries below ``tiny`` set to zero: the raw power of a long line holds
     subnormal entries (976 for the dim-360 figure 1 and 2 lines), which slow
-    every product that meets them.  a lifts the smallest product of two entries
-    of H into the normal range, no further than keeps 2^(-2a) normal and column
-    starts from states within the guard finite; entries of Q still subnormal are
-    set to zero.
-    """
-    rows = band.power(_BLOCK_STEPS // 2)
-    mag = np.abs(rows)
-    top = mag.max()
-    a = 0
-    if np.isfinite(top) and top > 0.0:
-        low = np.min(mag, where=mag > 0.0, initial=top)
-        # entries of H lie in [2^(e_low - 1), 2^e_top); Q = 2^(2a) H H, a factor P at a
-        # time, sums products of two entries of H lifted by 2^(2a): each is normal from
-        # 2a >= -1020 - 2 e_low, and dim of them times a state within the guard < 2^1023
-        lift = -510 - int(np.frexp(low)[1])
-        room = int((1023 - np.log2(band.dim * BLOWUP_GUARD)) // 2) - int(np.frexp(top)[1])
-        a = max(0, min(lift, room, 511))
-    del mag
-    rows *= 2.0 ** (2 * a)
-    q = band.power(_BLOCK_STEPS // 2, rows)[:, band.w:band.w + band.dim]
+    every column-start product that meets them."""
+    q = band.power(_BLOCK_STEPS)[:, band.w:band.w + band.dim]
     q[np.abs(q) < np.finfo(float).tiny] = 0.0
     # row i holds column i of Q; the column-start GEMVs want Q itself in C order
-    return np.ascontiguousarray(q.T), 2.0 ** (-2 * a)
+    return np.ascontiguousarray(q.T)
 
 
 class _Band:
@@ -251,7 +230,7 @@ def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt:
             raise BlowUp(dt, np.abs(p @ y).max())
         band = _Band(p)
         del p
-        q, unscale = _column_start_matrix(band)
+        q = _column_start_matrix(band)
         batch = _COLUMNS * _BLOCK_STEPS
         cols = np.zeros((_BLOCK_STEPS + 1, _COLUMNS, band.width))
         # cols[j, c] is the padded state at step done + c * _BLOCK_STEPS + j
@@ -270,9 +249,7 @@ def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt:
             k = -(-count // _BLOCK_STEPS)  # columns this batch needs
             col_states[0, 0] = y
             for c in range(1, k):
-                start = col_states[0, c]
-                np.dot(q, col_states[0, c - 1], out=start)
-                start *= unscale
+                np.dot(q, col_states[0, c - 1], out=col_states[0, c])
             for j in range(_BLOCK_STEPS):
                 np.matmul(src[j, :, :k], band.weights, out=dst[j + 1, :, :k])
             # rows[j, c] is step done + 1 + i, i = c * _BLOCK_STEPS + j; the

@@ -40,6 +40,16 @@ def test_check_exit_codes(tmp_path, fig1_path, fig2_path, capsys):
     assert main(["check", "--spec", str(missing)]) == 1
 
 
+def test_check_refuses_a_boolean_gain(tmp_path, fig1_path, capsys):
+    doc = json.loads(fig1_path.read_text())
+    doc["agents"][0]["g_x"] = True
+    spec = tmp_path / "bool.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["check", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_parser_is_built_once():
     import flockstab.cli as cli
 

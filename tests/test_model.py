@@ -381,3 +381,22 @@ def test_json_malformed_raises():
         fs.spec_from_dict({"arrangement": "hexatomic", "agents": []})
     with pytest.raises(ShapeError):
         fs.spec_from_dict({"agents": []})
+
+
+@pytest.mark.parametrize("key, value", [("g_x", True), ("g_v", False),
+                                        ("rho_x", {"1": True, "-1": -0.5}),
+                                        ("rho_v", {"1": -0.5, "-1": np.bool_(True)})])
+def test_json_booleans_are_not_numbers(fig1, key, value):
+    doc = fs.spec_to_dict(fig1)
+    doc["agents"][0][key] = value
+    with pytest.raises(ShapeError):
+        fs.spec_from_dict(doc)
+    # integers stay numbers, as in the README's specs
+    doc["agents"][0] = {"g_x": -1, "g_v": -1, "rho_x": {"1": 0, "-1": -1},
+                        "rho_v": {"1": 0, "-1": -1}}
+    assert fs.spec_from_dict(doc).agents[0].rho_x[-1] == -1.0
+
+
+def test_agent_params_refuse_boolean_weights():
+    with pytest.raises(ShapeError):
+        AgentParams(g_x=-1.0, g_v=-1.0, rho_x={1: True, -1: -2.0}, rho_v={1: -0.5, -1: -0.5})

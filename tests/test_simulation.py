@@ -16,7 +16,7 @@ from flockstab import (
     simulate,
     transient,
 )
-from flockstab.figures import figure1, figure2, figure3
+from flockstab.figures import figure1, figure2, figure3, figure3c
 from flockstab import simulation
 from flockstab.model import _block_index, assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
@@ -197,27 +197,44 @@ def test_band_built_step_matrix_and_powers_match_dense_products(arrangement, bc)
         assert not rows[:, :band.w].any() and not rows[:, band.w + len(p):].any()
 
 
+def _raw_power(band):
+    """P^_BLOCK_STEPS from the band products of :func:`_column_start_matrix`, unflushed."""
+    return np.ascontiguousarray(band.power(_BLOCK_STEPS)[:, band.w:band.w + band.dim].T)
+
+
 @pytest.mark.parametrize("make, n, bc, raw_subnormal", [(figure1, 60, BC1, True),
                                                       (figure2, 60, BC1, True),
                                                       (figure3, 50, BC2, False)])
 def test_column_start_matrix_has_no_subnormal_entry(make, n, bc, raw_subnormal):
     # N = 180 for figures 1 and 2 and N = 100 for figure 3; the raw power of
-    # the first two holds 976 subnormal entries, the scaled one none
+    # the first two holds 976 subnormal entries, Q none
     spec = make()
     order = _vehicle_order(spec.n_types, n)
     p = _step_matrix(assemble_line(spec, n, bc).entries[np.ix_(order, order)], 0.01)
     band = _Band(p)
-    q, unscale = _column_start_matrix(band)
+    q = _column_start_matrix(band)
     tiny = np.finfo(float).tiny
-    raw = band.power(_BLOCK_STEPS)[:, band.w:band.w + len(p)].T
+    raw = _raw_power(band)
     assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) == 976 * raw_subnormal
-    assert not ((q != 0.0) & (np.abs(q) < tiny)).any()
-    assert np.log2(unscale) % 2 == 0 and unscale <= 1.0
-    # Q / 2^(2a) is the power from the same band products, but for the subnormal range
-    assert np.abs(q * unscale - raw).max() < tiny
+    # Q is the raw power with its entries below tiny set to zero, bit for bit
+    assert q.flags.c_contiguous
+    assert np.array_equal(q, np.where(np.abs(raw) < tiny, 0.0, raw))
     # and the dense power, an independent oracle, agrees to rounding
     dense = np.linalg.matrix_power(p, _BLOCK_STEPS)
-    assert np.abs(q * unscale - dense).max() <= 1e-14 * np.abs(dense).max()
+    assert np.abs(q - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("make, n, t_max", [(figure1, 60, 400.0), (figure3c, 100, 300.0)],
+                         ids=["fig1a", "fig3c-n100"])
+def test_flushing_q_moves_only_values_near_underflow(make, n, t_max, monkeypatch):
+    flushed = simulate(make(), n, BC1, t_max, 0.01)
+    monkeypatch.setattr(simulation, "_column_start_matrix", _raw_power)
+    raw = simulate(make(), n, BC1, t_max, 0.01)
+    peaks = [(t.peak_deviation, t.peak_time, t.peak_agent) for t in (flushed, raw)]
+    assert peaks[0] == peaks[1]
+    moved = flushed.states != raw.states
+    assert max(np.abs(flushed.states[moved]).max(initial=0.0),
+               np.abs(raw.states[moved]).max(initial=0.0)) < 1e-290
 
 
 # hashes P, Q and the run of the figure 2b lines at N = 90 and 150, where dense
@@ -238,8 +255,8 @@ for n, t_max in ((30, simulation.default_horizon(90)), (50, simulation.default_h
                  (333, 1.0)):
     built.clear()
     traj = simulation.simulate(figure2(), n, BoundaryCondition.TYPE_I, t_max, 0.01)
-    (p, (q, unscale)) = built
-    arrays = (p, q, traj.states, [unscale, traj.peak_deviation, traj.peak_time])
+    p, q = built
+    arrays = (p, q, traj.states, [traj.peak_deviation, traj.peak_time])
     print(n, *(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays))
 """
 
