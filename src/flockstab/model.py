@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -69,14 +70,28 @@ def check_budget(what: str, nbytes: int) -> None:
 
 
 def _weight(w) -> float:
-    """float(w), refusing a bool (JSON's true would otherwise read as 1.0)."""
-    if isinstance(w, (bool, np.bool_)):
+    """float(w) of a real number, refusing a bool (JSON's true would read as 1.0)
+    and a string ("-0.6" would read as the number)."""
+    if not isinstance(w, numbers.Real) or isinstance(w, bool):
         raise ShapeError(f"weights must be numbers, got {w!r}")
     return float(w)
 
 
+def _offset(j) -> int:
+    """int(j) of an integer or an integer literal such as JSON's "-1" key."""
+    if isinstance(j, str) and re.fullmatch(r"[+-]?[0-9]+", j):
+        return int(j)
+    if not isinstance(j, numbers.Integral) or isinstance(j, bool):
+        raise ShapeError(f"offsets must be integers, got {j!r}")
+    return int(j)
+
+
+def _rho(rho: Mapping) -> dict[int, float]:
+    return {_offset(j): _weight(w) for j, w in rho.items()}
+
+
 def _freeze_rho(rho: Mapping[int, float]) -> Mapping[int, float]:
-    return MappingProxyType({int(j): _weight(w) for j, w in sorted(rho.items())})
+    return MappingProxyType(dict(sorted(_rho(rho).items())))
 
 
 @dataclass(frozen=True)
@@ -178,15 +193,12 @@ def _as_agent(raw, offsets: Sequence[int]) -> AgentParams:
 
 def _complete(rho: dict, infer, which: str, offsets: Sequence[int]) -> dict:
     """Fill omitted offsets with zero, optionally deriving one from the constraint."""
-    try:
-        rho = {int(j): _weight(w) for j, w in rho.items()}
-    except TypeError as exc:
-        raise ShapeError(f"{which}: weights must be numbers: {exc}") from exc
+    rho = _rho(rho)
     for entry in infer:
         if not isinstance(entry, str) or ":" not in entry:
             raise ShapeError(f"infer entry {entry!r} must look like 'rho_x:-1'")
     inferred = [
-        int(entry.split(":", 1)[1])
+        _offset(entry.split(":", 1)[1])
         for entry in infer
         if entry.split(":", 1)[0] == which
     ]

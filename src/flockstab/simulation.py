@@ -163,10 +163,13 @@ class _Band:
                           (*lead, self.w * s1, s0, s1), writeable=writeable)
 
 
-def _grid(t_max: float, dt: float) -> tuple[int, int]:
+def _grid(t_max: float, dt: float, store: bool = True) -> tuple[int, int]:
     """The RK4 steps of a run and the stride between its stored states; a stride
-    past the last step stores only t = 0, as any larger one (or inf) would."""
+    past the last step stores only t = 0, as any larger one (or inf) would, and
+    a run that does not store takes that stride."""
     steps = int(round(t_max / dt))
+    if not store:
+        return steps, steps + 1
     return steps, int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1))
 
 
@@ -187,6 +190,13 @@ def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
     whose stored states or dense operators would exceed 2 GiB, raises
     ``ValueError`` before anything is assembled or allocated.
     """
+    return _run(spec, n, bc, t_max, dt, store=True)
+
+
+def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float,
+         store: bool) -> Trajectory:
+    """:func:`simulate`'s checks, then its run from the leader kick; with store
+    False the run keeps only its t = 0 row, so it has no stored-state budget."""
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not dt <= t_max < np.inf:
@@ -194,20 +204,22 @@ def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
     if t_max / dt > _MAX_STEPS:
         raise ValueError(f"t_max / dt = {t_max / dt:.6g} RK4 steps, "
                          f"over the budget of {_MAX_STEPS:.0e} steps")
-    steps, stride = _grid(t_max, dt)
-    stored = steps // stride + 1
     dim = 2 * spec.n_types * n
-    check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
+    if store:
+        steps, stride = _grid(t_max, dt)
+        stored = steps // stride + 1
+        check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
     check_budget(f"{_DENSE_ARRAYS} dense {dim} x {dim} arrays", _DENSE_ARRAYS * dim * dim * 8)
     y0 = np.zeros(dim)
     y0[dim // 2] = 1.0  # leader velocity kick
-    return _integrate(spec, n, bc, t_max, dt, y0)
+    return _integrate(spec, n, bc, t_max, dt, y0, store)
 
 
 def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float,
-               y0: np.ndarray) -> Trajectory:
-    """:func:`simulate` from the state y0, in block order, without its checks."""
-    steps, stride = _grid(t_max, dt)
+               y0: np.ndarray, store: bool = True) -> Trajectory:
+    """:func:`simulate` from the state y0, in block order, without its checks;
+    with store False, only the t = 0 row is kept (see :func:`_grid`)."""
+    steps, stride = _grid(t_max, dt, store)
     n_agents = len(y0) // 2
     times = np.arange(steps // stride + 1) * (stride * dt)
     states = np.empty((len(times), len(y0)))
@@ -281,9 +293,10 @@ def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt:
 
             first = done // stride + 1  # the first stored row past y
             ks = np.arange(first * stride, done + count + 1, stride)
-            c, j = np.divmod(ks - done - 1, _BLOCK_STEPS)
-            np.take(padded_rows, (j + 1) * _COLUMNS + c, axis=0, out=kept[:len(ks)])
-            states[first:first + len(ks)] = kept[:len(ks), from_padded]
+            if len(ks):
+                c, j = np.divmod(ks - done - 1, _BLOCK_STEPS)
+                np.take(padded_rows, (j + 1) * _COLUMNS + c, axis=0, out=kept[:len(ks)])
+                states[first:first + len(ks)] = kept[:len(ks), from_padded]
 
             c, j = divmod(count - 1, _BLOCK_STEPS)
             y = col_states[j + 1, c]
@@ -302,14 +315,16 @@ def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt:
 def transient(traj: Trajectory) -> TransientReport:
     """Extremal leader-relative deviation and a decay check.
 
-    Converged means the deviations over the last 5% of the window stay
-    below 10% of the extremum.
+    Converged means the deviations over the last 5% of the stored window
+    stay below 10% of the extremum, and the extremum is not later than the
+    last stored time (past it, the run's tail is unseen).
     """
     magnitude = traj.peak_deviation
     span = traj.times[-1] - traj.times[0]
     tail = traj.times >= traj.times[-1] - 0.05 * span
     tail_max = float(np.abs(traj.deviations(rows=tail)).max()) if tail.any() else 0.0
-    converged = magnitude == 0.0 or tail_max < 0.1 * abs(magnitude)
+    seen = bool(traj.peak_time <= traj.times[-1])
+    converged = magnitude == 0.0 or (seen and tail_max < 0.1 * abs(magnitude))
     return TransientReport(
         magnitude=magnitude,
         time_at_extremum=traj.peak_time,
@@ -357,6 +372,13 @@ def scan_N(
     fits log|magnitude| against N by least squares, and reports the slope
     with its R^2.  Runs that blow up are censored from the fit but kept in
     the point list with their blow-up time.
+
+    Each run takes :func:`simulate`'s steps, guard and extremum, so its
+    magnitude is that run's ``peak_deviation`` and its blow-up time that
+    of its :class:`BlowUp`, but it stores no states.  So a run is refused
+    with :func:`simulate`'s ``ValueError`` over 1e8 steps or over the dense
+    operators' 2 GiB budget (N above 4728 for three types), never for its
+    stored states.
     """
     if len(N_values) == 0:
         raise SizeError("N_values is empty; give at least one flock size")
@@ -368,10 +390,9 @@ def scan_N(
     def run(n_total: int) -> ScanPoint:
         horizon = default_horizon(n_total) if t_max is None else t_max
         try:
-            traj = simulate(spec, n_total // t, bc, horizon, dt)
+            mag = _run(spec, n_total // t, bc, horizon, dt, store=False).peak_deviation
         except BlowUp as blow:
             return ScanPoint(n_total, None, None, blowup_time=blow.time)
-        mag = transient(traj).magnitude
         log_mag = float(np.log(abs(mag))) if mag != 0.0 else None
         return ScanPoint(n_total, mag, log_mag)
 

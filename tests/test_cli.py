@@ -50,6 +50,16 @@ def test_check_refuses_a_boolean_gain(tmp_path, fig1_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_check_refuses_a_string_weight(tmp_path, fig1_path, capsys):
+    doc = json.loads(fig1_path.read_text())
+    doc["agents"][0]["rho_x"]["1"] = "-0.6"
+    spec = tmp_path / "string.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["check", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_parser_is_built_once():
     import flockstab.cli as cli
 

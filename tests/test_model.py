@@ -400,3 +400,32 @@ def test_json_booleans_are_not_numbers(fig1, key, value):
 def test_agent_params_refuse_boolean_weights():
     with pytest.raises(ShapeError):
         AgentParams(g_x=-1.0, g_v=-1.0, rho_x={1: True, -1: -2.0}, rho_v={1: -0.5, -1: -0.5})
+
+
+@pytest.mark.parametrize("rho_x", [{"1": "-0.6", "-1": -0.4}, {"1": "abc", "-1": -0.4},
+                                   {"x": -0.6, "-1": -0.4}, {"1.0": -0.6, "-1": -0.4},
+                                   {1.0: -0.6, "-1": -0.4}, {True: -0.6, "-1": -0.4}],
+                         ids=["string-weight", "word-weight", "word-offset", "decimal-offset",
+                              "float-offset", "bool-offset"])
+def test_spec_weights_are_numbers_and_offsets_integers(fig1, rho_x):
+    doc = fs.spec_to_dict(fig1)
+    doc["agents"][0]["rho_x"] = rho_x
+    with pytest.raises(ShapeError):
+        fs.spec_from_dict(doc)
+    # JSON's offset keys are integer literals, signed or not
+    doc["agents"][0]["rho_x"] = {"1": -0.6, "-1": -0.4}
+    assert fs.spec_from_dict(doc) == fig1
+    doc["agents"][0]["rho_x"] = {"+1": -0.6, "-1": -0.4}
+    assert fs.spec_from_dict(doc) == fig1
+
+
+def test_inferred_offset_is_an_integer_literal(fig1):
+    doc = fs.spec_to_dict(fig1)
+    doc["agents"][0]["infer"] = ["rho_x:abc"]
+    with pytest.raises(ShapeError):
+        fs.spec_from_dict(doc)
+
+
+def test_agent_params_refuse_string_weights():
+    with pytest.raises(ShapeError):
+        AgentParams(g_x=-1.0, g_v=-1.0, rho_x={1: "-0.6", -1: -0.4}, rho_v={1: -0.5, -1: -0.5})

@@ -20,7 +20,8 @@ from flockstab.figures import figure1, figure2, figure3, figure3c
 from flockstab import simulation
 from flockstab.model import _block_index, assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
-                                  _column_start_matrix, _integrate, _step_matrix, _vehicle_order)
+                                  _column_start_matrix, _integrate, _step_matrix, _vehicle_order,
+                                  default_horizon)
 from conftest import random_diatomic, random_spec, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -462,6 +463,16 @@ def test_subnormal_step_stores_only_the_start(fig2):
     assert traj.states.shape == (1, 18)
 
 
+def test_peak_after_the_last_stored_time_is_not_converged(fig1):
+    # five steps store only t = 0; the peak at t_max = 0.05 lies past it
+    traj = simulate(fig1, 4, BC1, 0.05, 0.01)
+    assert traj.times.tolist() == [0.0]
+    rep = transient(traj)
+    assert rep.magnitude == -0.05
+    assert rep.time_at_extremum == 0.05
+    assert rep.converged is False
+
+
 @pytest.mark.parametrize(
     "n, t_max, dt, message",
     [(4, 1.0, 1e-9, r"t_max / dt = 1e\+09 RK4 steps, over the budget of 1e\+08 steps"),
@@ -505,6 +516,42 @@ def test_simulate_budgets_dense_operators(fig1, monkeypatch, n, message):
         simulate(fig1, n, BC1, 1.0, 0.01)
 
 
+@pytest.mark.parametrize("n_total", [2118, 4728], ids=["stored-over", "dense-largest"])
+def test_scan_has_no_stored_state_budget(fig1, monkeypatch, n_total):
+    # at the default horizon simulate stores 30 N + 1 rows of 2 N values: over
+    # 2 GiB from N = 2118, while the dense operators fit up to N = 4728
+    def assembled(*args):
+        raise _Assembled
+
+    monkeypatch.setattr(simulation, "assemble_line", assembled)
+    with pytest.raises(ValueError, match=r"^\d+ stored states of \d+ values take \d+ bytes, "
+                                         r"over the budget of 2147483648 bytes$"):
+        simulate(fig1, n_total // 3, BC1, default_horizon(n_total))
+    with pytest.raises(_Assembled):
+        scan_N(fig1, BC1, [n_total])
+
+
+@pytest.mark.parametrize(
+    "n, t_max, dt, message",
+    [(4, 10.0, np.inf, r"dt must be positive and finite, got inf"),
+     (4, 1.0, 1e-9, r"t_max / dt = 1e\+09 RK4 steps, over the budget of 1e\+08 steps"),
+     (1577, 1.0, 0.01, r"3 dense 9462 x 9462 arrays take 2148706656 bytes, "
+                       r"over the budget of 2147483648 bytes"),
+     (10**5, 1.0, 0.01, r"3 dense 600000 x 600000 arrays take 8640000000000 bytes, "
+                        r"over the budget of 2147483648 bytes")],
+    ids=["dt-inf", "steps", "dim-9462", "n-1e5"],
+)
+def test_scan_is_refused_as_simulate_is(fig1, monkeypatch, n, t_max, dt, message):
+    def no_assembly(*args):
+        raise AssertionError("assembled a run over the budget")
+
+    monkeypatch.setattr(simulation, "assemble_line", no_assembly)
+    for run in (lambda: simulate(fig1, n, BC1, t_max, dt),
+                lambda: scan_N(fig1, BC1, [3 * n], dt=dt, t_max=t_max)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run()
+
+
 def test_trajectory_storage_grid(fig1):
     traj = simulate(fig1, 4, BC1, 10.0, 0.01)
     assert traj.times[0] == 0.0
@@ -536,6 +583,19 @@ def test_scan_censors_blowup():
     assert all(p.censored for p in result.points)
     assert all(p.blowup_time is not None for p in result.points)
     assert result.fit_error is not None
+    for p in result.points:
+        with pytest.raises(BlowUp) as blow:
+            simulate(_unstable_spec(), p.N // 3, BC1, 300.0, 0.01)
+        assert p.blowup_time == blow.value.time
+
+
+def test_scan_magnitude_is_the_simulated_peak(fig2):
+    # the scan stores nothing, but steps as simulate does: the same bits
+    result = scan_N(fig2, BC1, [9, 15, 30])
+    for p in result.points:
+        peak = simulate(fig2, p.N // 3, BC1, default_horizon(p.N)).peak_deviation
+        assert p.magnitude == peak
+        assert p.log_abs_magnitude == float(np.log(abs(peak)))
 
 
 def test_scan_slope_for_growing_transients(fig2):
