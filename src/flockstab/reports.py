@@ -25,9 +25,9 @@ from .svg import Series, render_plot
 
 
 _BLOCK = 1 << 13  # values formatted at a time: bounds the byte grids to about 3 MB
-# 10**k for _POW_MIN <= k <= 342; above _SCALED (values below about 1e-274)
-# it is stored times 2**-600 and the value scaled by 2**600, both exactly.
-_POW_MIN, _SCALED = -265, 290
+# 10**k for _POW_MIN <= k <= _POW_MAX: the k = 16 - exp that magnitudes from
+# 1e-273 to 1e280 scale by, the exponent's one-off correction included
+_POW_MIN, _POW_MAX = -265, 290
 # Each float gets a cell of every byte ``%.17g`` may print, of which write_csv
 # keeps those it does: separator, sign, "0.000" (fixed form below 1), the 17
 # digits, ".", digits 2..17 again, 2 pad bytes, "e" and the signed exponent.
@@ -53,16 +53,16 @@ def _layout(form, count):
 
 @functools.cache
 def _tables():
-    """10**k (times 2**-600 above ``_SCALED``) as hi + lo and Veltkamp's halves
-    of hi, at k - _POW_MIN; the text of 0..9999 and of the signed exponents
-    as 4-byte words, the trailing zeros of 0..9999, and the layouts."""
+    """10**k as hi + lo and Veltkamp's halves of hi, at k - _POW_MIN; the text
+    of 0..9999 and of the signed exponents as 4-byte words, the trailing zeros
+    of 0..9999, and the layouts."""
     def dd(k):
-        num, den = 10 ** max(k, 0), 10 ** max(-k, 0) << (600 if k > _SCALED else 0)
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
         hi = num / den  # int true division rounds correctly
         a, b = hi.as_integer_ratio()
         return hi, (num * b - a * den) / (den * b)
 
-    hi, lo = np.array([dd(k) for k in range(_POW_MIN, 343)]).T
+    hi, lo = np.array([dd(k) for k in range(_POW_MIN, _POW_MAX + 1)]).T
     c = hi * 134217729.0
     head = c - (c - hi)
     digits = list(map("{:04d}".format, range(10000)))
@@ -76,7 +76,6 @@ def _scale(m, k):
     """m * 10**k as p + t, p the rounded and t the rest of Dekker's product."""
     hi, head, tail, lo = _tables()[:4]
     i = k - _POW_MIN
-    m = m * np.where(k > _SCALED, 2.0 ** 600, 1.0)
     c = m * 134217729.0
     mh = c - (c - m)
     ml = m - mh
@@ -87,12 +86,13 @@ def _scale(m, k):
 def _cells(x):
     """The ``_CELL`` of each value of x and the mask of the bytes that print
     ``"," + "%.17g" % value``; and the mask of the values left to ``%``:
-    nan, inf, above 1e280, or within 1e-6 of a tie in the 17th digit."""
+    nan, inf, above 1e280, a nonzero magnitude below 1e-273, or within 1e-6
+    of a tie in the 17th digit."""
     digits, exps, trailing, layouts = _tables()[4:]
     x = np.ravel(x).astype(float, copy=False)
     a = np.abs(x)
-    slow = ~(a <= 1e280)
     zero = a == 0
+    slow = ~(a <= 1e280) | (a < 1e-273) & ~zero
     m = np.where(slow | zero, 1.0, a)
     exp = np.floor(np.log10(m)).astype(np.int64)
     p, t = _scale(m, 16 - exp)

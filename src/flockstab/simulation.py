@@ -163,16 +163,6 @@ class _Band:
                           (*lead, self.w * s1, s0, s1), writeable=writeable)
 
 
-def _grid(t_max: float, dt: float, store: bool = True) -> tuple[int, int]:
-    """The RK4 steps of a run and the stride between its stored states; a stride
-    past the last step stores only t = 0, as any larger one (or inf) would, and
-    a run that does not store takes that stride."""
-    steps = int(round(t_max / dt))
-    if not store:
-        return steps, steps + 1
-    return steps, int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1))
-
-
 def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
              dt: float = DEFAULT_DT) -> Trajectory:
     """Integrate the line system from the leader kick with classical fixed-step RK4.
@@ -182,7 +172,7 @@ def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
     :class:`_Band`) builds P from M, Q = P^32 from P (see
     :func:`_column_start_matrix`), and steps batches of 32 columns of 32
     steps: column c starts from Q^c y, and each step advances all columns at
-    once.  The guard, the extremum and the storage cover every step.
+    once.  In :func:`_run`, the guard, extremum and storage cover every step.
 
     Raises :class:`BlowUp` with the first time the state max-norm crosses
     the overflow guard or stops being finite (the expected outcome for
@@ -194,9 +184,10 @@ def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
 
 
 def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float,
-         store: bool) -> Trajectory:
-    """:func:`simulate`'s checks, then its run from the leader kick; with store
-    False the run keeps only its t = 0 row, so it has no stored-state budget."""
+         store: bool, y0: np.ndarray | None = None) -> Trajectory:
+    """:func:`simulate`'s checks and run, from y0 in block order or the leader
+    kick.  The stride is capped at steps + 1, which stores only t = 0 as any
+    larger one (or inf) would; a run with store False takes that stride."""
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not dt <= t_max < np.inf:
@@ -204,25 +195,19 @@ def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float
     if t_max / dt > _MAX_STEPS:
         raise ValueError(f"t_max / dt = {t_max / dt:.6g} RK4 steps, "
                          f"over the budget of {_MAX_STEPS:.0e} steps")
+    steps = int(round(t_max / dt))
+    stride = int(min(max(1.0, np.ceil(STORE_SPACING / dt)), steps + 1)) if store else steps + 1
     dim = 2 * spec.n_types * n
-    if store:
-        steps, stride = _grid(t_max, dt)
-        stored = steps // stride + 1
-        check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
+    stored = steps // stride + 1
+    check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
     check_budget(f"{_DENSE_ARRAYS} dense {dim} x {dim} arrays", _DENSE_ARRAYS * dim * dim * 8)
-    y0 = np.zeros(dim)
-    y0[dim // 2] = 1.0  # leader velocity kick
-    return _integrate(spec, n, bc, t_max, dt, y0, store)
+    if y0 is None:
+        y0 = np.zeros(dim)
+        y0[dim // 2] = 1.0  # leader velocity kick
 
-
-def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float,
-               y0: np.ndarray, store: bool = True) -> Trajectory:
-    """:func:`simulate` from the state y0, in block order, without its checks;
-    with store False, only the t = 0 row is kept (see :func:`_grid`)."""
-    steps, stride = _grid(t_max, dt, store)
-    n_agents = len(y0) // 2
-    times = np.arange(steps // stride + 1) * (stride * dt)
-    states = np.empty((len(times), len(y0)))
+    n_agents = dim // 2
+    times = np.arange(stored) * (stride * dt)
+    states = np.empty((stored, dim))
     states[0] = y0
 
     dev = y0[:n_agents] - y0[0]
@@ -251,8 +236,6 @@ def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt:
         # agents first: the per-row extrema below are then elementwise over
         # (steps, columns) planes, not one short reduction per row
         positions = np.empty((n_agents, _BLOCK_STEPS, _COLUMNS))
-        # the stored rows of a batch, gathered whole and then put in block order
-        kept = np.empty((min(batch, batch // stride + 1), band.width))
         padded_rows = cols.reshape(-1, band.width)
         from_padded = to_block + band.w
         done = 0  # step number of y
@@ -293,10 +276,10 @@ def _integrate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt:
 
             first = done // stride + 1  # the first stored row past y
             ks = np.arange(first * stride, done + count + 1, stride)
-            if len(ks):
-                c, j = np.divmod(ks - done - 1, _BLOCK_STEPS)
-                np.take(padded_rows, (j + 1) * _COLUMNS + c, axis=0, out=kept[:len(ks)])
-                states[first:first + len(ks)] = kept[:len(ks), from_padded]
+            c, j = np.divmod(ks - done - 1, _BLOCK_STEPS)
+            # in block order; a batch that stores no row gathers nothing
+            states[first:first + len(ks)] = padded_rows[((j + 1) * _COLUMNS + c)[:, None],
+                                                        from_padded]
 
             c, j = divmod(count - 1, _BLOCK_STEPS)
             y = col_states[j + 1, c]
@@ -373,12 +356,12 @@ def scan_N(
     with its R^2.  Runs that blow up are censored from the fit but kept in
     the point list with their blow-up time.
 
-    Each run takes :func:`simulate`'s steps, guard and extremum, so its
-    magnitude is that run's ``peak_deviation`` and its blow-up time that
-    of its :class:`BlowUp`, but it stores no states.  So a run is refused
-    with :func:`simulate`'s ``ValueError`` over 1e8 steps or over the dense
-    operators' 2 GiB budget (N above 4728 for three types), never for its
-    stored states.
+    Each run is :func:`simulate`'s, through :func:`_run` with the same steps,
+    guard and extremum, so its magnitude is that run's ``peak_deviation``
+    and its blow-up time that of its :class:`BlowUp`, but it stores only
+    the t = 0 row.  So a run is refused with :func:`simulate`'s
+    ``ValueError`` over 1e8 steps or over the dense operators' 2 GiB budget
+    (N above 4728 for three types), never for its stored states.
     """
     if len(N_values) == 0:
         raise SizeError("N_values is empty; give at least one flock size")

@@ -57,17 +57,14 @@ def _cents(v: np.ndarray) -> np.ndarray | None:
     which prints "-0.00"), is 1e4 or more, or lies within 1e-9 of a rounding
     tie, so no tie rule is needed here.
 
-    100 v is Dekker's exact product p + t, with v cut into Veltkamp's halves;
-    100 itself needs no split.  The rounding is decided on that exact pair.
+    The rounding is decided on the rounded product p = 100 v: below 1e6 it
+    is within 5.8e-11 of the exact one, far inside that 1e-9 tie window.
     """
     if (np.signbit(v) | ~(v < 1e4)).any():
         return None
     p = v * 100.0
-    c = v * 134217729.0
-    head = c - (c - v)
-    t = (head * 100.0 - p) + (v - head) * 100.0
     whole = np.floor(p)
-    frac = (p - whole) + t  # in (-1e-10, 1)
+    frac = p - whole
     if (np.abs(frac - 0.5) < 1e-9).any():
         return None
     return whole.astype(np.int64) + (frac > 0.5)

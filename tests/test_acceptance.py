@@ -14,7 +14,7 @@ import flockstab as fs
 from flockstab import Arrangement, BoundaryCondition
 from flockstab.figures import figure1, figure2, figure3
 from flockstab.rootcurves import default_grid
-from flockstab.simulation import _integrate
+from flockstab.simulation import _run
 from conftest import random_spec
 from oracles import (a0_constant_term, a0_derivative_at_zero, small_root_counts,
                      track_polynomial_branches)
@@ -215,7 +215,7 @@ def test_c9_property_suites():
     base = fs.simulate(spec, 8, BC1, 25.0, 0.01)
     kick2 = np.zeros(32)
     kick2[16] = 2.0
-    doubled = _integrate(spec, 8, BC1, 25.0, 0.01, kick2)
+    doubled = _run(spec, 8, BC1, 25.0, 0.01, True, kick2)
     if np.abs(doubled.states - 2.0 * base.states).max() > 1e-9 * np.abs(
         doubled.states
     ).max():
@@ -223,7 +223,7 @@ def test_c9_property_suites():
     shifted0 = np.zeros(32)
     shifted0[16] = 1.0
     shifted0[:16] += 2.0
-    shifted = _integrate(spec, 8, BC1, 25.0, 0.01, shifted0)
+    shifted = _run(spec, 8, BC1, 25.0, 0.01, True, shifted0)
     if np.abs(shifted.deviations() - base.deviations()).max() > 1e-9:
         failures.append("translation invariance")
 

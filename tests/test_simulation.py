@@ -20,7 +20,7 @@ from flockstab.figures import figure1, figure2, figure3, figure3c
 from flockstab import simulation
 from flockstab.model import _block_index, assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
-                                  _column_start_matrix, _integrate, _step_matrix, _vehicle_order,
+                                  _column_start_matrix, _run, _step_matrix, _vehicle_order,
                                   default_horizon)
 from conftest import random_diatomic, random_spec, random_triatomic
 
@@ -89,7 +89,7 @@ def _assert_matches_reference(spec, n, bc, steps, dt, y0=None):
     if y0 is None:
         traj = simulate(spec, n, bc, steps * dt, dt)
     else:
-        traj = _integrate(spec, n, bc, steps * dt, dt, y0)
+        traj = _run(spec, n, bc, steps * dt, dt, True, y0)
     assert traj.states.shape == states.shape
     assert np.abs(traj.states - states).max() <= 1e-11 * np.abs(states).max()
     assert traj.peak_time == peak_t
@@ -110,8 +110,15 @@ def test_step_matrix_matches_four_stage_reference(name, bc, steps, dt):
     _assert_matches_reference(make(), n, bc, steps, dt)
 
 
-def test_three_batch_horizon_matches_four_stage_reference():
-    _assert_matches_reference(figure1(), 20, BC1, 3 * _BATCH + 5, 0.01)
+# the last batch holds 5 steps and no multiple of 10; at stride 2000 only
+# the second of the four batches stores a row
+@pytest.mark.parametrize("dt, storing_batches", [(0.01, [0, 1, 2]), (5e-5, [1])],
+                         ids=["stride-10", "stride-2000"])
+def test_three_batch_horizon_matches_four_stage_reference(dt, storing_batches):
+    steps = 3 * _BATCH + 5
+    stride = int(np.ceil(STORE_SPACING / dt))
+    assert sorted({(k - 1) // _BATCH for k in range(stride, steps + 1, stride)}) == storing_batches
+    _assert_matches_reference(figure1(), 20, BC1, steps, dt)
 
 
 def _uncoupled_spec():
@@ -137,7 +144,7 @@ def test_extremum_ties_go_to_the_first_agent(steps):
     assert steps % _BLOCK_STEPS > 1  # the last column is partial
     y0 = np.zeros(24)
     y0[13], y0[14] = 1.0, -1.0
-    traj = _integrate(_uncoupled_spec(), 4, BC1, steps * 0.01, 0.01, y0)
+    traj = _run(_uncoupled_spec(), 4, BC1, steps * 0.01, 0.01, True, y0)
     assert traj.peak_time == steps * 0.01
     assert traj.peak_agent == 1
     _assert_matches_reference(_uncoupled_spec(), 4, BC1, steps, 0.01, y0)
@@ -151,7 +158,7 @@ def test_extremum_ties_go_to_the_first_block_agent(steps):
     y0 = np.zeros(24)
     y0[12 + 1], y0[12 + n] = -1.0, 1.0
     assert _vehicle_order(3, n)[[2, 6]].tolist() == [n, 1]
-    traj = _integrate(_uncoupled_spec(), n, BC1, 5.0, 0.01, y0)
+    traj = _run(_uncoupled_spec(), n, BC1, 5.0, 0.01, True, y0)
     assert traj.peak_agent == 1
     assert traj.peak_deviation == pytest.approx(-5.0)
     _assert_matches_reference(_uncoupled_spec(), n, BC1, steps, 0.01, y0)
@@ -282,7 +289,7 @@ def test_guard_crossing_in_padding_is_not_a_blowup():
     y0 = np.zeros(24)
     y0[12] = 1.0
     with pytest.raises(BlowUp) as err:
-        _integrate(_unstable_spec(), 4, BC1, crossing * 0.01, 0.01, y0)
+        _run(_unstable_spec(), 4, BC1, crossing * 0.01, 0.01, True, y0)
     assert err.value.time == crossing * 0.01
     _assert_matches_reference(_unstable_spec(), 4, BC1, steps, 0.01, y0)
 
@@ -295,7 +302,7 @@ def test_blowup_time_matches_four_stage_reference(kick):
     with pytest.raises(BlowUp) as ref:
         _four_stage_reference(spec, 4, BC1, 20000, 0.01, y0)
     with pytest.raises(BlowUp) as err:
-        _integrate(spec, 4, BC1, 200.0, 0.01, y0)
+        _run(spec, 4, BC1, 200.0, 0.01, True, y0)
     step = int(round(ref.value.time / 0.01))
     assert step % _BLOCK_STEPS > 1  # the crossing is past its block's first row
     assert err.value.time == step * 0.01
@@ -316,7 +323,7 @@ def test_initial_condition_and_leader(fig1):
 
 def test_zero_kick_stays_at_equilibrium(fig1):
     y0 = np.zeros(30)
-    traj = _integrate(fig1, 5, BC1, 10.0, 0.01, y0)
+    traj = _run(fig1, 5, BC1, 10.0, 0.01, True, y0)
     assert np.all(traj.states == 0.0)
     rep = transient(traj)
     assert rep.magnitude == 0.0
@@ -337,7 +344,7 @@ def test_linearity(fig3):
     base = simulate(fig3, 8, BC1, 25.0, 0.01)
     doubled = np.zeros(32)
     doubled[16] = 2.0
-    scaled = _integrate(fig3, 8, BC1, 25.0, 0.01, doubled)
+    scaled = _run(fig3, 8, BC1, 25.0, 0.01, True, doubled)
     ref = np.abs(scaled.states).max()
     assert np.abs(scaled.states - 2.0 * base.states).max() <= 1e-9 * ref
     assert transient(scaled).magnitude == pytest.approx(
@@ -350,7 +357,7 @@ def test_translation_invariance(fig3):
     shifted0 = np.zeros(32)
     shifted0[16] = 1.0
     shifted0[:16] += 3.5
-    shifted = _integrate(fig3, 8, BC1, 25.0, 0.01, shifted0)
+    shifted = _run(fig3, 8, BC1, 25.0, 0.01, True, shifted0)
     assert np.abs(shifted.states[:, :16] - base.states[:, :16] - 3.5).max() < 1e-9
     assert np.abs(shifted.deviations() - base.deviations()).max() < 1e-9
 
@@ -424,7 +431,7 @@ def test_nan_first_step_from_a_finite_start_is_a_blowup(fig1):
     y0 = np.zeros(60)
     y0[[_block_index(15, 3, 10), _block_index(16, 3, 10)]] = 1e300
     with pytest.raises(BlowUp) as err:
-        _integrate(fig1, 10, BC1, 1e4, 1e3, y0)
+        _run(fig1, 10, BC1, 1e4, 1e3, True, y0)
     assert err.value.time == 1e3
     assert np.isnan(err.value.norm)
 
