@@ -4,6 +4,11 @@ Identical inputs produce byte-identical files: every CSV goes through the
 one writer :func:`write_csv`, which prints each number as ``"%.17g" % x``
 does (17 significant digits, so it round-trips) but array-wise; JSON
 floats round-trip exactly, and row ordering is fixed by construction.
+
+Array-wise, each number gets a 32-byte cell, built as four little-endian
+64-bit words: the separator, sign, "0.000" and leading digit; digits 2..17
+with the decimal point shifted in (two words); "e" and the signed exponent.
+A per-layout mask of the 32 bytes keeps those ``%.17g`` prints.
 """
 
 from __future__ import annotations
@@ -24,38 +29,44 @@ from .spectral import Spectrum
 from .svg import Series, render_plot
 
 
-_BLOCK = 1 << 13  # values formatted at a time: bounds the byte grids to about 3 MB
+_BLOCK = 1 << 13  # values formatted at a time: 32-byte cells and masks, about 3 MB in all
 # 10**k for _POW_MIN <= k <= _POW_MAX: the k = 16 - exp that magnitudes from
 # 1e-273 to 1e280 scale by, the exponent's one-off correction included
 _POW_MIN, _POW_MAX = -265, 290
-# Each float gets a cell of every byte ``%.17g`` may print, of which write_csv
-# keeps those it does: separator, sign, "0.000" (fixed form below 1), the 17
-# digits, ".", digits 2..17 again, 2 pad bytes, "e" and the signed exponent.
-_CELL = np.frombuffer(b",-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"  e+000", np.uint8)
+# a cell's first word: separator, "-", "0.000" and the leading digit's "0"
+_WORD0 = np.uint64(int.from_bytes(b",-0.0000", "little"))
+_ONES, _POINT = np.uint64(2 ** 64 - 1), np.uint64(ord("."))
 
 
 def _layout(form, count):
     """The bytes a cell keeps for ``count`` significant digits, in fixed form
     with exponent ``form - 4`` (form 0..20) or in exponent form with a 2- or
-    3-digit exponent (form 21, 22).  Its sign byte is set per value."""
-    keep = np.zeros(len(_CELL), bool)
-    lead = form - 3 if 4 <= form <= 20 else 1  # digits before the point
+    3-digit exponent (form 21, 22).  Byte 0 is the separator, 1 the sign, 2..6
+    "0.000" and 7 the leading digit.  Bytes 8..24 hold digits 2..17 and the
+    point at byte 8 + q: q is the number of integer digits - 1 in fixed form
+    at or above 1, 0 in exponent form and 16 (never kept) below 1.  Byte 25
+    is "e" and 26..29 the signed exponent.  The sign byte is set per value."""
+    keep = np.zeros(32, bool)
     keep[0] = True  # the separator
-    keep[24] = form > 3 and count > lead  # the point, unless "0." is printed
     if form < 4:
         keep[2:7 - form] = True  # "0." and zeros, below 1 in fixed form
-    keep[7:7 + lead] = True
-    keep[24 + lead:24 + count] = True
-    keep[43:48] = form > 20
-    keep[45] = form == 22
+        keep[7:7 + count] = True
+    else:
+        lead = form - 3 if form <= 20 else 1  # digits before the point
+        keep[7:7 + lead] = True
+        keep[7 + lead] = count > lead  # the point
+        keep[8 + lead:8 + count] = True
+    keep[25:30] = form > 20
+    keep[27] = form == 22
     return keep
 
 
 @functools.cache
 def _tables():
     """10**k as hi + lo and Veltkamp's halves of hi, at k - _POW_MIN; the text
-    of 0..9999 and of the signed exponents as 4-byte words, the trailing zeros
-    of 0..9999, and the layouts."""
+    of 0..9999 as 4-byte words; for exponents -330..330, the cell's last word
+    ("e" and the signed exponent), the first layout row of its form and 8q;
+    the trailing zeros of 0..9999; and the layouts, form by form."""
     def dd(k):
         num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
         hi = num / den  # int true division rounds correctly
@@ -66,8 +77,13 @@ def _tables():
     c = hi * 134217729.0
     head = c - (c - hi)
     digits = list(map("{:04d}".format, range(10000)))
-    words = ["".join(digits), "".join(map("{:+04d}".format, range(-330, 331)))]
-    return (hi, head, hi - head, lo, *(np.frombuffer(w.encode(), np.uint32) for w in words),
+    exps = range(-330, 331)
+    forms = [21 + (abs(k) > 99) if k < -4 or k > 16 else k + 4 for k in exps]
+    return (hi, head, hi - head, lo, np.frombuffer("".join(digits).encode(), "<u4"),
+            np.frombuffer("".join(map("\0e{:+04d}\0\0".format, exps)).encode(), "<u8"),
+            np.array(forms) * 18,
+            np.array([16 if form < 4 else form - 4 if form <= 20 else 0 for form in forms],
+                     np.uint64) * 8,
             np.array([4 - len(text.rstrip("0")) for text in digits]),
             np.array([_layout(form, count) for form in range(23) for count in range(18)]))
 
@@ -84,11 +100,12 @@ def _scale(m, k):
 
 
 def _cells(x):
-    """The ``_CELL`` of each value of x and the mask of the bytes that print
-    ``"," + "%.17g" % value``; and the mask of the values left to ``%``:
-    nan, inf, above 1e280, a nonzero magnitude below 1e-273, or within 1e-6
-    of a tie in the 17th digit."""
-    digits, exps, trailing, layouts = _tables()[4:]
+    """The 32-byte cell of each value of x, written as four little-endian
+    64-bit words in the byte order :func:`_layout` gives, and the mask of the
+    bytes that print ``"," + "%.17g" % value``; and the mask of the values
+    left to ``%``: nan, inf, above 1e280, a nonzero magnitude below 1e-273,
+    or within 1e-6 of a tie in the 17th digit."""
+    digits, exps, rows, points, trailing, layouts = _tables()[4:]
     x = np.ravel(x).astype(float, copy=False)
     a = np.abs(x)
     zero = a == 0
@@ -109,27 +126,33 @@ def _cells(x):
     exp += carry
 
     upper, lower = (half.astype(float) for half in np.divmod(d, 10 ** 8))
-    g = np.empty((len(x), 5), np.intp)  # the leading digit, then 4 digits each
-    g[:, 0] = np.floor(upper / 1e8)
-    g[:, 1] = np.floor(upper / 1e4) - g[:, 0] * 1e4
-    g[:, 2] = upper - np.floor(upper / 1e4) * 1e4
-    g[:, 3] = np.floor(lower / 1e4)
-    g[:, 4] = lower - g[:, 3] * 1e4
-    zeros = trailing.take(g)
-    count = 17 - (zeros[:, 4] + (g[:, 4] == 0) * (
-        zeros[:, 3] + (g[:, 3] == 0) * (zeros[:, 2] + (g[:, 2] == 0) * zeros[:, 1])))
+    lead = np.floor(upper / 1e8)  # the leading digit
+    g = np.empty((2, len(x), 2), np.intp)  # digits 2..17, 4 at a time, as A and B take them
+    (g1, g2), (g3, g4) = g.transpose(0, 2, 1)
+    g1[:] = np.floor(upper / 1e4) - lead * 1e4
+    g2[:] = upper - np.floor(upper / 1e4) * 1e4
+    g3[:] = np.floor(lower / 1e4)
+    g4[:] = lower - g3 * 1e4
+    (z1, z2), (z3, z4) = trailing.take(g).transpose(0, 2, 1)
+    count = 17 - (z4 + (g4 == 0) * (z3 + (g3 == 0) * (z2 + (g2 == 0) * z1)))
 
-    form = np.where((exp < -4) | (exp > 16), 21 + (np.abs(exp) > 99), exp + 4)
-    keep = layouts.take(form * 18 + count, axis=0)
+    e = exp + 330
+    keep = layouts.take(rows.take(e) + count, axis=0)
     keep[:, 1] = np.signbit(x)
-    cells = np.empty(keep.shape, np.uint8)
-    cells[:] = _CELL
-    words = cells.view(np.uint32)
-    cells[:, 7] = np.where(zero, 48, 48 + g[:, 0])
-    words[:, 2:6] = digits.take(g[:, 1:])
-    cells[:, 25:41] = cells[:, 8:24]
-    words[:, 11] = exps.take(exp + 330)
-    return cells, keep, slow
+    # A and B hold digits 2..9 and 10..17, a byte each.  Read as one 128-bit
+    # word, digits keep their byte below bit s, move up one byte above it,
+    # and the point fills byte s / 8: (A & below) | (A << 8 & above) | point.
+    # Shifts by 64 or more give 0.  Byte 24 is kept only when it holds digit 17.
+    A, B = digits.take(g).view("<u8")[:, :, 0]
+    s = points.take(e)
+    cells = np.empty((len(x), 4), "<u8")
+    cells[:, 0] = np.where(zero, 0, lead).astype(np.uint64) << 56 | _WORD0
+    above = _ONES << s
+    cells[:, 1] = A & ~above | (A & above) << 8 | _POINT << s
+    cells[:, 2] = (B & _ONES >> (128 - s) | (A >> 56 | B << 8) & _ONES << (np.maximum(s, 56) - 56)
+                   | _POINT << (s - 64))  # s - 64 wraps to a shift past 64 when s < 64
+    cells[:, 3] = B >> 56 | exps.take(e)
+    return cells.view(np.uint8), keep, slow
 
 
 def _row_cells(block):

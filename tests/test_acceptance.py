@@ -5,6 +5,7 @@ even when everything passes).  Published extremal values carry a 2%
 tolerance; the oracle-equivalence and derivative checks carry their own.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 import flockstab as fs
 from flockstab import Arrangement, BoundaryCondition
-from flockstab.figures import figure1, figure2, figure3
+from flockstab.figures import FIGURE_RUNS, figure1, figure2, figure3, figure3c
 from flockstab.rootcurves import default_grid
 from flockstab.simulation import _run
 from conftest import random_spec
@@ -31,11 +32,21 @@ def _within(value: float, target: float, rel: float = 0.02) -> bool:
     return abs(value - target) <= rel * abs(target)
 
 
-def test_c1_figure_one_type_one_reproduction():
+@functools.cache
+def _reproduced(figure):
+    """One ``reproduce`` target's transient report, or fig2b's scan, and the
+    seconds it took; each target runs once for all the tests that check it."""
+    run = FIGURE_RUNS[figure]
     start = time.perf_counter()
-    traj = fs.simulate(figure1(), 60, BC1, 400.0, 0.01)
-    elapsed = time.perf_counter() - start
-    rep = fs.transient(traj)
+    if run.kind == "scan":
+        result = fs.scan_N(run.spec(), run.bc, list(run.n_values), dt=run.dt)
+    else:
+        result = fs.transient(fs.simulate(run.spec(), run.n, run.bc, run.t_max, run.dt))
+    return result, time.perf_counter() - start
+
+
+def test_c1_figure_one_type_one_reproduction():
+    rep, elapsed = _reproduced("fig1a")
     ok = (
         _within(rep.magnitude, -221.0)
         and _within(rep.time_at_extremum, 244.6)
@@ -49,7 +60,7 @@ def test_c1_figure_one_type_one_reproduction():
 
 
 def test_c2_figure_one_type_two_reproduction():
-    rep = fs.transient(fs.simulate(figure1(), 60, BC2, 400.0, 0.01))
+    rep = _reproduced("fig1b")[0]
     ok = _within(rep.magnitude, -220.8) and _within(abs(rep.time_at_extremum), 244.4)
     _report(
         "2 (fig 1b)", ok,
@@ -59,8 +70,7 @@ def test_c2_figure_one_type_two_reproduction():
 
 
 def test_c3_figure_three_reproductions():
-    rep1 = fs.transient(fs.simulate(figure3(), 50, BC1, 300.0, 0.01))
-    rep2 = fs.transient(fs.simulate(figure3(), 50, BC2, 300.0, 0.01))
+    rep1, rep2 = _reproduced("fig3a")[0], _reproduced("fig3b")[0]
     ok = (
         _within(rep1.magnitude, -72.8)
         and _within(rep1.time_at_extremum, 79.3)
@@ -136,7 +146,7 @@ def test_c6_derivative_vs_finite_difference():
 
 
 def test_c7_flock_instability_scaling():
-    result = fs.scan_N(figure2(), BC1, [30, 60, 90, 120, 150, 180], dt=0.01)
+    result = _reproduced("fig2b")[0]
     # slope frozen as a regression band from the first verified run (0.0335)
     ok = (
         result.slope > 0.0
@@ -239,4 +249,48 @@ def test_c9_property_suites():
         "row sums, conjugate closure, linearity, translation invariance, "
         f"refinement change {change:.2e}"
         + (f"; failures: {failures}" if failures else ""),
+    )
+
+
+# Each simulated ``reproduce`` target's peak (magnitude, time, agent) and
+# fig2b's (slope, intercept, R^2), as the code printed them when they were
+# pinned.  A change that moves one must update it here and say why.
+_PINNED_PEAKS = {
+    "fig1a": (-220.98905076449702, 244.70000000000002, 179),
+    "fig1b": (-220.76733279195454, 244.46, 179),
+    "fig2a": (-4239.614130764846, 317.26, 179),
+    "fig3a": (-73.78957175801563, 79.15, 99),
+    "fig3b": (-73.02807020721204, 78.38, 99),
+    "fig3c": (-128.04119256938668, 212.99, 99),
+}
+_PINNED_SCAN = (0.033509154703983336, 2.294334795972947, 0.998874305572438)
+# ``check`` and ``classify`` (at the benchmark's n = 48 and 2000) verdicts
+_PINNED_VERDICTS = {
+    figure1: ("necessary-conditions-hold", "stable", "stable"),
+    figure2: ("instability-certified", "unstable", "unstable"),
+    figure3: ("necessary-conditions-hold", "stable", "stable"),
+    figure3c: ("instability-certified", "unstable", "unstable"),
+}
+
+
+def test_c10_reproduced_numbers_pinned():
+    moved = []
+    for figure, pinned in _PINNED_PEAKS.items():
+        rep = _reproduced(figure)[0]
+        peak = (rep.magnitude, rep.time_at_extremum, rep.agent_at_extremum)
+        if not (_within(peak[0], pinned[0], 1e-9) and peak[1:] == pinned[1:]):
+            moved.append(f"{figure} peak {peak}")
+    scan = _reproduced("fig2b")[0]
+    fit = (scan.slope, scan.intercept, scan.r_squared)
+    if not all(map(_within, fit, _PINNED_SCAN, [1e-9] * 3)):
+        moved.append(f"fig2b fit {fit}")
+    for figure, pinned in _PINNED_VERDICTS.items():
+        spec = figure()
+        verdicts = (fs.conditions(spec).overall.value,
+                    *(fs.classify(fs.spectrum_periodic(spec, n)).status.value for n in (48, 2000)))
+        if verdicts != pinned:
+            moved.append(f"{figure.__name__} verdicts {verdicts}")
+    _report(
+        "10 (pinned reproductions)", not moved,
+        "; ".join(moved) or "7 targets at 1e-9, peak times and agents exact, 4 specs' verdicts",
     )

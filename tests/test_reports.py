@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import flockstab as fs
 from flockstab import (Arrangement, BlowUp, BoundaryCondition, build_spec, classify,
                        mode_roots, reports, scan_N, simulate, spectrum_periodic, transient)
 from flockstab.cli import main
-from flockstab.figures import figure1, figure2
+from flockstab.figures import FIGURE_RUNS, figure1, figure2
 from flockstab.reports import (write_csv, write_rootcurves_csv, write_scan_csv,
                                write_spectrum_csv, write_trajectory_csv)
 from flockstab.rootcurves import (Branch, RootCurve, orthogonality_angle, right_angle_deviation,
@@ -157,6 +159,33 @@ def test_write_csv_prints_floats_as_percent_17g(kind, tmp_path):
     assert (tmp_path / "x.csv").read_bytes() == expected.encode()
 
 
+def _printed_layout(text):
+    """The layout ``%.17g`` printed ``text`` in: fixed exponent + 4 (0..20) or
+    21/22 for a 2-/3-digit exponent; significant digits; sign."""
+    number = Decimal(text)
+    count = len("".join(map(str, number.as_tuple().digits)).rstrip("0")) or 1
+    exponent = text.partition("e")[2]
+    form = 21 + (len(exponent) == 4) if exponent else number.adjusted() + 4
+    return form, count, text.startswith("-")
+
+
+def test_write_csv_prints_every_cell_layout(tmp_path):
+    # signed c-digit integers times powers of ten, at every fixed exponent
+    # and at 2- and 3-digit exponents inside the array-wise range
+    rng = np.random.default_rng(26)
+    exponents = [*range(-4, 17), -273, -100, -99, -5, 17, 99, 100, 279]
+    values = np.array([0.0, -0.0] + [
+        float(f"{sign * n}e{e - c + 1}") for c in range(1, 18) for e in exponents
+        for sign in (1, -1) for n in rng.integers(10 ** (c - 1), 10 ** c, 64).tolist()])
+    slow = reports._cells(values)[2]
+    hit = {_printed_layout("%.17g" % v) for v in values[~slow].tolist()}
+    assert hit == {(form, count, sign) for form in range(23) for count in range(1, 18)
+                   for sign in (False, True)}
+    write_csv(tmp_path / "x.csv", ["x"], [values])
+    expected = "x\n" + "".join(map("%.17g\n".__mod__, values.tolist()))
+    assert (tmp_path / "x.csv").read_bytes() == expected.encode()
+
+
 def test_power_table_matches_fractions():
     hi, _, _, lo = reports._tables()[:4]
     for i, k in enumerate(range(reports._POW_MIN, reports._POW_MIN + len(hi))):
@@ -179,6 +208,21 @@ def test_write_csv_block_edges(tmp_path):
         ["t", "name", "x"], [[r[0], n, *r[1:]] for r, n in zip(values.tolist(), names)])
     write_csv(tmp_path / "empty.csv", ["a", "b"], [np.empty(0), np.empty((0, 1))])
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+def test_trajectory_csv_memory_is_bounded_by_the_block(tmp_path):
+    # fig1a's 4001 x 361 values print in blocks; the whole file is about 29 MB
+    run = FIGURE_RUNS["fig1a"]
+    traj = simulate(run.spec(), run.n, run.bc, run.t_max, run.dt)
+    reports._tables()  # built once per process
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (4001, 360)
+    assert peak <= 4 * 2 ** 20, peak
 
 
 def _per_point_render_plot(series, title, xlabel, ylabel):
