@@ -2,7 +2,7 @@
 
 Builds decentralized flock models with two or three repeating agent
 types, reduces the circle system to per-mode characteristic polynomials,
-evaluates closed-form necessary stability conditions, simulates the line
+decides necessary stability conditions on them, simulates the line
 system under two boundary-condition families, and validates the small-
 mode root-curve geometry numerically.
 """
@@ -10,7 +10,6 @@ mode root-curve geometry numerically.
 from .conditions import (
     ConditionClause,
     ConditionReport,
-    E_func,
     Overall,
     conditions,
     necessary_condition_value,
@@ -28,12 +27,10 @@ from .errors import (
 )
 from .model import (
     AgentParams,
-    AlphaBeta,
     Arrangement,
     BoundaryCondition,
     FlockSpec,
     SystemMatrix,
-    alphas_betas,
     assemble_line,
     assemble_periodic,
     build_spec,

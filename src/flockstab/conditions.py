@@ -1,14 +1,15 @@
-"""Closed-form necessary stability conditions and instability certificates.
+"""Necessary stability conditions and instability certificates.
 
-Every clause evaluates a scalar whose vanishing (or sign) certifies that
-the periodic system cannot be linearly stable for large flocks.  The key
-quantity is the first moment of the forward/backward weight asymmetries
-plus a nonlinear correction; its zero set is the codimension-one manifold
-on which stable parameter choices live.
-
-One roundoff rule decides every clause: a value counts as zero (or, for a
-sign clause, as non-positive) when it is at most ``tol`` or a few ulps of
-its size, the same expression evaluated on the magnitudes it sums.
+Every clause is read off the spec's mode polynomial at phi = 0 (see
+:mod:`flockstab.spectral`): clause i off the positional gains, the middle
+clauses off a_k(0) / a_d(0), with a_d = (-1)^t exactly, and clause iii off
+the slope a_0'(0), a nonzero multiple of the gain product times the
+paper's key quantity: the first moment of the forward/backward weight
+asymmetries plus a nonlinear correction.  Its zero set is the
+codimension-one manifold on which stable parameter choices live.  A value
+counts as zero (for a sign clause, as non-positive) by the roundoff rule
+``rootcurves`` applies to its hypotheses: at most ``tol`` or a few ulps of
+its size.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidTolerance
-from .model import AlphaBeta, Arrangement, FlockSpec, alphas_betas
+from .model import Arrangement, FlockSpec
+from .spectral import _vanishes, check_tolerance, mode_polynomial
 
 CONDITION_TOL = 1e-9
-
-#: ulps of its size within which a clause value is roundoff
-_ULPS = 8
 
 
 class Overall(Enum):
@@ -50,15 +48,23 @@ class ConditionReport:
         return {c.id: c.triggered for c in self.clauses}
 
 
-def E_func(a: float, b: float, c: float, d: float) -> float:
-    """ab(1 + c + cd)."""
-    return a * b * (1.0 + c + c * d)
-
-
-def check_tolerance(tol: float) -> None:
-    """Refuse a tolerance that would turn a verdict into a wrong answer."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidTolerance(f"tolerance must be finite and non-negative, got {tol}")
+#: per arrangement: clause i note, the middle clauses as (id, k, rule, note)
+#: on a_k(0) / a_d(0), and clause iii note.  A "vanishes" clause triggers
+#: when the value is zero, a "sign" clause when it is not positive.
+_CLAUSES = {
+    Arrangement.TRIATOMIC_NN: (
+        "triggers when a positional gain vanishes",
+        (("ii", 2, "vanishes", "vanishing pair sum forces a triple zero eigenvalue"),),
+        "first moment of weight asymmetries plus their product",
+    ),
+    Arrangement.DIATOMIC_NNN: (
+        "zero-gain reading: a vanishing positional gain pins a "
+        "persistent zero eigenvalue in every mode",
+        (("ii-x", 2, "sign", "gain-weighted first-offset alphas, positions"),
+         ("ii-v", 3, "sign", "gain-weighted first-offset alphas, velocities")),
+        "cross-weighted asymmetry moment over both offsets",
+    ),
+}
 
 
 def necessary_condition_value(spec: FlockSpec) -> float:
@@ -66,122 +72,46 @@ def necessary_condition_value(spec: FlockSpec) -> float:
 
     Three types: sum of the first-offset asymmetries plus their product.
     Two types: cross-weighted moment of the asymmetries at both offsets.
-    Reported without the gain-product prefactor.
+    Reported without the gain-product prefactor; a_0'(0) is i/4 (three
+    types) or -i/2 (two types) times the gain product times this value.
     """
-    ab = alphas_betas(spec)
-    return _moment(spec.arrangement, ab.alpha_x, ab.beta_x)
-
-
-def _moment(arrangement: Arrangement, alpha_x, beta_x) -> float:
-    if arrangement is Arrangement.TRIATOMIC_NN:
-        b0, b1, b2 = (b[1] for b in beta_x)
+    rho = [agent.rho_x for agent in spec.agents]
+    if spec.arrangement is Arrangement.TRIATOMIC_NN:
+        b0, b1, b2 = (r[1] - r[-1] for r in rho)
         return b0 + b1 + b2 + b0 * b1 * b2
-    (a1, a2), (b1, b2) = (a[1] for a in alpha_x), beta_x
-    return a2 * (b1[1] + 2.0 * b1[2]) + a1 * (b2[1] + 2.0 * b2[2])
-
-
-def _vanishes(value: float, size: float, tol: float) -> bool:
-    """value <= max(tol, a few ulps of size), the one rule of every clause.
-
-    size is the value's expression on the magnitudes it sums, so a value
-    that vanishes in exact arithmetic stays within a few ulps of it.
-    """
-    return value <= max(tol, _ULPS * math.ulp(size))
-
-
-def _pair_sum_clause(spec: FlockSpec, ab: AlphaBeta, tol: float):
-    """Three types: clause ii, the pair sum E of the positional terms; a2(0) = -E."""
-    g_x = [a.g_x for a in spec.agents]
-    g_v = [a.g_v for a in spec.agents]
-    rho_x1 = [a.rho_x[1] for a in spec.agents]
-    rho_v1 = [a.rho_v[1] for a in spec.agents]
-    betas = [b[1] for b in ab.beta_x]
-    pairs = [(0, 1), (1, 2), (2, 0)]
-
-    e_sum = sum(E_func(g_x[i], g_x[j], rho_x1[i], rho_x1[j]) for i, j in pairs)
-    e_size = sum(E_func(abs(g_x[i]), abs(g_x[j]), abs(rho_x1[i]), abs(rho_x1[j]))
-                 for i, j in pairs)
-    mixed_e_sum = sum(
-        E_func(g_x[i], g_v[j], rho_x1[i], rho_v1[j])
-        + E_func(g_v[i], g_x[j], rho_v1[i], rho_x1[j])
-        for i, j in pairs
-    )
-    clauses = (
-        ConditionClause("ii", e_sum, _vanishes(abs(e_sum), e_size, tol),
-                        note="vanishing pair sum forces a triple zero eigenvalue"),
-    )
-    values = {"e_sum": e_sum, "mixed_e_sum": mixed_e_sum,
-              "beta_sum": betas[0] + betas[1] + betas[2]}
-    return clauses, values, -e_sum
-
-
-def _alpha_sum_clauses(spec: FlockSpec, ab: AlphaBeta, tol: float):
-    """Two types: clauses ii-x and ii-v, the gain-weighted first-offset alphas.
-
-    Each sum is sized by |g| * (|rho[1]| + |rho[-1]|); a2(0) is the
-    position sum.
-    """
-    def weighted(gains, alphas, weights):
-        value = gains[0] * alphas[0][1] + gains[1] * alphas[1][1]
-        size = sum(abs(g) * (abs(w[1]) + abs(w[-1])) for g, w in zip(gains, weights))
-        return value, _vanishes(value, size, tol)
-
-    sum_x, ii_x = weighted([a.g_x for a in spec.agents], ab.alpha_x,
-                           [a.rho_x for a in spec.agents])
-    sum_v, ii_v = weighted([a.g_v for a in spec.agents], ab.alpha_v,
-                           [a.rho_v for a in spec.agents])
-    clauses = (
-        ConditionClause("ii-x", sum_x, ii_x,
-                        note="gain-weighted first-offset alphas, positions"),
-        ConditionClause("ii-v", sum_v, ii_v,
-                        note="gain-weighted first-offset alphas, velocities"),
-    )
-    return clauses, {"gain_weighted_alpha_x": sum_x, "gain_weighted_alpha_v": sum_v}, sum_x
-
-
-#: per arrangement: clause i note, the middle clauses, clause iii note
-_ARRANGEMENT_CLAUSES = {
-    Arrangement.TRIATOMIC_NN: (
-        "triggers when a positional gain vanishes",
-        _pair_sum_clause,
-        "first moment of weight asymmetries plus their product",
-    ),
-    Arrangement.DIATOMIC_NNN: (
-        "zero-gain reading: a vanishing positional gain pins a "
-        "persistent zero eigenvalue in every mode",
-        _alpha_sum_clauses,
-        "cross-weighted asymmetry moment over both offsets",
-    ),
-}
+    a1, a2 = (r[1] + r[-1] for r in rho)
+    b1, b2 = ((r[1] - r[-1]) + 2.0 * (r[2] - r[-2]) for r in rho)
+    return a2 * b1 + a1 * b2
 
 
 def conditions(spec: FlockSpec, tol: float = CONDITION_TOL) -> ConditionReport:
     """Evaluate clause i, the arrangement's middle clauses and clause iii."""
     check_tolerance(tol)
-    ab = alphas_betas(spec)
+    q = mode_polynomial(spec)
+    at_zero, at_zero_size = q.jet(0).real, q.jet_size(0)
+    slope = float(q.jet(1)[0].imag)  # a_0'(0) is i times this
     g_x = [a.g_x for a in spec.agents]
     g_product = math.prod(g_x)
-    mpc = _moment(spec.arrangement, ab.alpha_x, ab.beta_x)
-    # the moment over |rho[j]| + |rho[-j]| in place of each alpha and beta
-    sizes = [{j: abs(w) + abs(a.rho_x[-j]) for j, w in a.rho_x.items() if j > 0}
-             for a in spec.agents]
-    moment_size = abs(g_product) * _moment(spec.arrangement, sizes, sizes)
-    note_i, middle, note_iii = _ARRANGEMENT_CLAUSES[spec.arrangement]
-    middle_clauses, middle_values, a2_at_zero = middle(spec, ab, tol)
+    mpc = necessary_condition_value(spec)
+    note_i, middle, note_iii = _CLAUSES[spec.arrangement]
 
-    clauses = (
-        ConditionClause("i", g_product, any(_vanishes(abs(g), abs(g), tol) for g in g_x),
-                        note=note_i),
-        *middle_clauses,
-        ConditionClause("iii", mpc, not _vanishes(abs(g_product * mpc), moment_size, tol),
-                        note=note_iii),
-    )
-    case_values = {"g_product": g_product, **middle_values,
-                   "moment_plus_correction": mpc, "a2_at_zero": a2_at_zero}
-    return ConditionReport(clauses, case_values, _overall(clauses))
+    clauses = [ConditionClause("i", g_product,
+                               any(_vanishes(abs(g), abs(g), tol) for g in g_x), note_i)]
+    for clause_id, k, rule, note in middle:
+        value = float(at_zero[k] / at_zero[-1])
+        judged = abs(value) if rule == "vanishes" else value
+        clauses.append(ConditionClause(
+            clause_id, value, _vanishes(judged, float(at_zero_size[k]), tol), note))
+    clauses.append(ConditionClause(
+        "iii", mpc, not _vanishes(abs(slope), float(q.jet_size(1)[0]), tol), note_iii))
 
-
-def _overall(clauses) -> Overall:
-    if any(c.triggered for c in clauses):
-        return Overall.INSTABILITY_CERTIFIED
-    return Overall.NECESSARY_CONDITIONS_HOLD
+    case_values = {
+        "g_product": g_product,
+        "beta_sum": sum(sum(j * w for j, w in a.rho_x.items()) for a in spec.agents),
+        "moment_plus_correction": mpc,
+        "a2_at_zero": float(at_zero[2]),
+        "a0_slope_at_zero": slope,
+    }
+    overall = (Overall.INSTABILITY_CERTIFIED if any(c.triggered for c in clauses)
+               else Overall.NECESSARY_CONDITIONS_HOLD)
+    return ConditionReport(tuple(clauses), case_values, overall)

@@ -151,20 +151,6 @@ class FlockSpec:
 
 
 @dataclass(frozen=True)
-class AlphaBeta:
-    """Symmetric/antisymmetric weight combinations per type and offset.
-
-    ``alpha[k][j] = rho[+j] + rho[-j]`` and ``beta[k][j] = rho[+j] - rho[-j]``
-    for offset magnitudes j present in the arrangement; only the position
-    weights' beta enters the conditions.
-    """
-
-    alpha_x: tuple[Mapping[int, float], ...]
-    beta_x: tuple[Mapping[int, float], ...]
-    alpha_v: tuple[Mapping[int, float], ...]
-
-
-@dataclass(frozen=True)
 class SystemMatrix:
     """Dense first-order system matrix in block (positions, velocities) form."""
 
@@ -227,20 +213,6 @@ def build_spec(arrangement: Arrangement, agents: Sequence) -> FlockSpec:
     if not isinstance(agents, Sequence):
         raise ShapeError(f"agents must be a list, got {type(agents).__name__}")
     return FlockSpec(arrangement, tuple(_as_agent(a, arrangement.offsets) for a in agents))
-
-
-def alphas_betas(spec: FlockSpec) -> AlphaBeta:
-    """Exact alpha/beta combinations of the spec's weights."""
-    magnitudes = sorted({abs(j) for j in spec.arrangement.offsets})
-
-    def combine(rhos, sign: float):
-        return tuple(MappingProxyType({j: rho[j] + sign * rho[-j] for j in magnitudes})
-                     for rho in rhos)
-
-    rho_x = [agent.rho_x for agent in spec.agents]
-    rho_v = [agent.rho_v for agent in spec.agents]
-    return AlphaBeta(alpha_x=combine(rho_x, 1.0), beta_x=combine(rho_x, -1.0),
-                     alpha_v=combine(rho_v, 1.0))
 
 
 def _block_index(k, t: int, n: int):

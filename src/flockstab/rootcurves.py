@@ -22,11 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .conditions import CONDITION_TOL
 from .errors import BranchAmbiguity, HypothesisViolated
 from .model import FlockSpec
-from .spectral import ModePolynomial, mode_polynomial, mode_roots
-
-HYPOTHESIS_TOL = 1e-9
+from .spectral import ModePolynomial, _vanishes, mode_polynomial, mode_roots
 
 DEFAULT_GRID = (1e-6, 1e-1, 60)
 
@@ -104,22 +103,28 @@ def branch_curvature(spec: FlockSpec) -> complex:
     """c = -a_0'(0) / a_2(0), both read off the spec's mode polynomial.
 
     a_0'(0) = ``jet(1)[0]`` = i sum_s s c[0, s] and a_2(0) = ``jet(0)[2]``
-    = sum_s c[2, s].  The closed forms (a_0'(0) in ``tests/oracles.py``,
-    the conditions' ``a2_at_zero``) are kept only as independent checks.
+    = sum_s c[2, s].  Each must be nonzero by the rule ``check`` applies
+    to its clauses, so ``check``'s clause iii triggers exactly when this
+    accepts a_0'(0).  The paper's closed forms for both live in
+    ``tests/oracles.py`` as independent checks.
     """
     return _curvature(mode_polynomial(spec))
 
 
 def _curvature(q: ModePolynomial) -> complex:
     a2, a0p = float(q.jet(0)[2].real), complex(q.jet(1)[0])
-    _require_hypotheses(a2, a0p)
+    _require_hypotheses(a2, a0p, float(q.jet_size(0)[2]), float(q.jet_size(1)[0]))
     return -a0p / a2
 
 
-def _require_hypotheses(a2: complex, a0p: complex) -> None:
-    if abs(a2) <= HYPOTHESIS_TOL:
+def _require_hypotheses(a2: complex, a0p: complex, a2_size: float, a0p_size: float) -> None:
+    """Refuse an a_2(0) or a_0'(0) that ``check``'s rule reads as zero.
+
+    A size of 0 leaves only the tolerance.
+    """
+    if _vanishes(abs(a2), a2_size, CONDITION_TOL):
         raise HypothesisViolated(f"|a_2(0)| = {abs(a2):.3e} is below tolerance")
-    if abs(a0p) <= HYPOTHESIS_TOL:
+    if _vanishes(abs(a0p), a0p_size, CONDITION_TOL):
         raise HypothesisViolated(f"|a_0'(0)| = {abs(a0p):.3e} is below tolerance")
 
 

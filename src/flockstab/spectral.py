@@ -9,10 +9,12 @@ offsets j that take type a to type b while shifting the cell by s.  Its
 determinant is the mode polynomial Q(nu, phi) of degree d = 2t.  Every
 weight is real, so Q has one small real Laurent array C[k, s] in nu and z
 per spec, built once; the coefficients of any array of modes and the
-phi-jet at phi = 0 are read off it.  No arrangement has a formula of
-its own here: the paper's closed forms for a_0 and a_0'(0) live in the
-test suite (``tests/oracles.py``) as independent checks of this one
-construction.  The spectrum is one array-backed
+phi-jet at phi = 0 are read off it, and the same construction on the
+stencil's magnitudes sizes every jet value for the one roundoff rule
+that ``check`` and ``rootcurves`` share.  No arrangement has a formula
+of its own here: the paper's closed forms for a_0, a_0'(0), a_2(0) and
+a_3(0) live in the test suite (``tests/oracles.py``) as independent
+checks of this one construction.  The spectrum is one array-backed
 :class:`Spectrum`, row m for mode phis[m]; :func:`mode_roots`, the only
 root finder, solves modes m <= n/2 from a stack of companion matrices,
 and the rows above them are their conjugates.
@@ -31,18 +33,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .conditions import check_tolerance
-from .errors import DegenerateLeadingCoefficient, SizeError
+from .errors import DegenerateLeadingCoefficient, InvalidTolerance, SizeError
 from .model import FlockSpec, check_budget
 
 CLASSIFY_TOL = 1e-9
 
 _ZERO_EIGENVALUE_SCALE = 1e-8
+
+#: ulps of its size within which a jet value is roundoff
+_ULPS = 8
 
 #: bytes per root the spectrum command holds at its peak, its CSV included
 #: (1.85 KB per mode of six roots at n = 1e5 under tracemalloc)
@@ -96,16 +101,35 @@ class StabilityVerdict:
     witness: Witness
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that would turn a verdict into a wrong answer."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidTolerance(f"tolerance must be finite and non-negative, got {tol}")
+
+
+def _vanishes(value: float, size: float, tol: float) -> bool:
+    """value <= max(tol, a few ulps of size), the rule of ``check`` and ``rootcurves``.
+
+    size is :meth:`ModePolynomial.jet_size`, so a jet value that vanishes
+    in exact arithmetic stays within a few ulps of it.
+    """
+    return value <= max(tol, _ULPS * math.ulp(size))
+
+
 class ModePolynomial:
     """Q(nu, phi) = sum_k nu^k sum_s c[k, s] z^s with z = e^{i phi}.
 
     ``c`` is real, because every stencil weight is; its columns hold the
-    z powers s = -S..S (``shifts``).
+    z powers s = -S..S (``shifts``).  ``size`` is the same construction
+    on the stencil's magnitudes, so |c[k, s]| <= size[k, s], and c's
+    roundoff is a few ulps of it.
     """
 
-    def __init__(self, c: np.ndarray):
+    def __init__(self, c: np.ndarray, size: np.ndarray):
         c.setflags(write=False)
+        size.setflags(write=False)
         self.c = c
+        self.size = size
         self.shifts = np.arange(c.shape[1]) - c.shape[1] // 2
 
     def coeffs(self, phi) -> np.ndarray:
@@ -131,6 +155,10 @@ class ModePolynomial:
         """
         return 1j ** p * (self.c * self.shifts ** p).sum(axis=1)
 
+    def jet_size(self, p: int) -> np.ndarray:
+        """The size of each ``jet(p)`` value: sum_s |s|^p size[k, s]."""
+        return (self.size * np.abs(self.shifts) ** p).sum(axis=1)
+
 
 def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
     """The spec's mode polynomial, by exact polynomial arithmetic on the stencil.
@@ -141,6 +169,8 @@ def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
     and the diagonal carries -nu^2.  Q is the determinant, summed over the
     t! permutations.  Substituting nu = x^w and z = x, with w wider than
     the z range of any product, makes each product one convolution in x.
+    The same convolutions on |m| give ``size``: offset j is fixed by
+    (a, b, s), so each entry of m is one stencil term.
     """
     t = spec.n_types
     # (offset j, cell shift s, target type b) of each stencil term: a + j = t*s + b
@@ -154,12 +184,16 @@ def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
         for j, s, b in row:
             m[a, b, 0, reach + s] += agent.g_x * agent.rho_x[j] if j else agent.g_x
             m[a, b, 1, reach + s] += agent.g_v * agent.rho_v[j] if j else agent.g_v
+    magnitude = np.abs(m)
     c = np.zeros((2 * t + 1) * w)
+    size = np.zeros(len(c))
     for perm in itertools.permutations(range(t)):
         term = functools.reduce(np.convolve, [m[a, b].ravel() for a, b in enumerate(perm)])
         inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
         c += (-1) ** inversions * term[: len(c)]
-    return ModePolynomial(c.reshape(2 * t + 1, w))
+        size += functools.reduce(
+            np.convolve, [magnitude[a, b].ravel() for a, b in enumerate(perm)])[: len(c)]
+    return ModePolynomial(c.reshape(2 * t + 1, w), size.reshape(2 * t + 1, w))
 
 
 def char_poly(spec: FlockSpec, phi) -> np.ndarray:

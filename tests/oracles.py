@@ -1,24 +1,118 @@
-"""Independent oracles: the paper's closed forms and a coefficient-family tracker.
+"""Independent oracles: the paper's closed forms, an exact jet and a tracker.
 
-The program reads a_0, a_0'(0) and the branch curvature off one
-:class:`~flockstab.spectral.ModePolynomial`.  The functions here derive the
-same quantities another way, from the paper's closed forms for a_0 (the
-D function) and for a_0'(0) (the lambda/mu symbols of two types), and by
-tracking the small roots of any coefficient family a_i(t) with a
-finite-difference curvature, so the tests can check one against the other.
+The program reads a_0, a_0'(0), a_2(0), a_3(0), every ``check`` clause and
+the branch curvature off one :class:`~flockstab.spectral.ModePolynomial`.
+The functions here derive the same quantities another way: from the
+paper's closed forms for a_0 (the D function), for a_0'(0) (the lambda/mu
+symbols of two types) and for a_2(0) and a_3(0) (the E pair sums of three
+types, the gain-weighted alphas of two); in exact rational arithmetic on
+the stencil; and by tracking the small roots of any coefficient family
+a_i(t) with a finite-difference curvature, so the tests can check one
+against the other.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Callable, Sequence
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from flockstab.conditions import CONDITION_TOL
 from flockstab.errors import HypothesisViolated
-from flockstab.model import Arrangement, FlockSpec, alphas_betas
-from flockstab.rootcurves import HYPOTHESIS_TOL, RootCurve, _require_hypotheses, _track
+from flockstab.model import Arrangement, FlockSpec
+from flockstab.rootcurves import RootCurve, _require_hypotheses, _track
 from flockstab.spectral import mode_roots
+
+
+@dataclass(frozen=True)
+class AlphaBeta:
+    """Symmetric/antisymmetric weight combinations per type and offset.
+
+    ``alpha[k][j] = rho[+j] + rho[-j]`` and ``beta[k][j] = rho[+j] - rho[-j]``
+    for offset magnitudes j present in the arrangement.
+    """
+
+    alpha_x: tuple[Mapping[int, float], ...]
+    beta_x: tuple[Mapping[int, float], ...]
+    alpha_v: tuple[Mapping[int, float], ...]
+
+
+def alphas_betas(spec: FlockSpec) -> AlphaBeta:
+    """Exact alpha/beta combinations of the spec's weights."""
+    magnitudes = sorted({abs(j) for j in spec.arrangement.offsets})
+
+    def combine(rhos, sign: float):
+        return tuple(MappingProxyType({j: rho[j] + sign * rho[-j] for j in magnitudes})
+                     for rho in rhos)
+
+    rho_x = [agent.rho_x for agent in spec.agents]
+    rho_v = [agent.rho_v for agent in spec.agents]
+    return AlphaBeta(alpha_x=combine(rho_x, 1.0), beta_x=combine(rho_x, -1.0),
+                     alpha_v=combine(rho_v, 1.0))
+
+
+def E_func(a: float, b: float, c: float, d: float) -> float:
+    """ab(1 + c + cd)."""
+    return a * b * (1.0 + c + c * d)
+
+
+def a2_a3_at_zero(spec: FlockSpec) -> tuple[float, float]:
+    """a_2(0) and a_3(0) from the paper's closed forms.
+
+    Three types: minus the pair sums E of positions and of mixed
+    position/velocity terms.  Two types: the gain-weighted first-offset
+    alphas of positions and of velocities (a_4 = 1).
+    """
+    agents = spec.agents
+    if spec.arrangement is Arrangement.TRIATOMIC_NN:
+        g_x, g_v = [a.g_x for a in agents], [a.g_v for a in agents]
+        rx, rv = [a.rho_x[1] for a in agents], [a.rho_v[1] for a in agents]
+        pairs = [(0, 1), (1, 2), (2, 0)]
+        e_xx = sum(E_func(g_x[i], g_x[j], rx[i], rx[j]) for i, j in pairs)
+        e_xv = sum(E_func(g_x[i], g_v[j], rx[i], rv[j])
+                   + E_func(g_v[i], g_x[j], rv[i], rx[j]) for i, j in pairs)
+        return -e_xx, -e_xv
+    ab = alphas_betas(spec)
+    return (sum(a.g_x * alpha[1] for a, alpha in zip(agents, ab.alpha_x)),
+            sum(a.g_v * alpha[1] for a, alpha in zip(agents, ab.alpha_v)))
+
+
+def exact_jet(spec: FlockSpec, p: int) -> list[Fraction]:
+    """jet(p) / i^p in exact rational arithmetic: sum_s s^p C[k, s] for every k.
+
+    The spec's float weights are exact rationals, so this is the value
+    the float ``ModePolynomial.jet`` rounds.  The mode matrix entry (a, b)
+    is a polynomial {(nu power, z power): coefficient}; Q is its
+    determinant over the t! permutations.
+    """
+    t = spec.n_types
+    entries = [[{} for _ in range(t)] for _ in range(t)]
+    for a, agent in enumerate(spec.agents):
+        entries[a][a][(2, 0)] = Fraction(-1)
+        for j in (0, *agent.rho_x):
+            s, b = divmod(a + j, t)
+            weight_x = Fraction(agent.rho_x[j]) if j else Fraction(1)
+            weight_v = Fraction(agent.rho_v[j]) if j else Fraction(1)
+            entries[a][b][(0, s)] = Fraction(agent.g_x) * weight_x
+            entries[a][b][(1, s)] = Fraction(agent.g_v) * weight_v
+    jet = [Fraction(0)] * (2 * t + 1)
+    for perm in itertools.permutations(range(t)):
+        sign = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
+        product = {(0, 0): Fraction(sign)}
+        for a, b in enumerate(perm):
+            step = {}
+            for (k1, s1), u in product.items():
+                for (k2, s2), v in entries[a][b].items():
+                    step[(k1 + k2, s1 + s2)] = step.get((k1 + k2, s1 + s2), 0) + u * v
+            product = step
+        for (k, s), coefficient in product.items():
+            jet[k] += s ** p * coefficient
+    return jet
 
 
 def D_func(a: float, b: float, c: float, t: float) -> complex:
@@ -93,13 +187,13 @@ def track_polynomial_branches(
     grid = np.asarray(t_grid, dtype=float)
     at_zero = np.asarray(coeff_fn(0.0), dtype=complex)
     scale = max(1.0, float(np.abs(at_zero).max()))
-    if abs(at_zero[0]) > HYPOTHESIS_TOL * scale or abs(at_zero[1]) > HYPOTHESIS_TOL * scale:
+    if abs(at_zero[0]) > CONDITION_TOL * scale or abs(at_zero[1]) > CONDITION_TOL * scale:
         raise HypothesisViolated("a_0(0) and a_1(0) must vanish")
     if c is None:
         h = 1e-7
         a0p = (np.asarray(coeff_fn(h))[0] - np.asarray(coeff_fn(-h))[0]) / (2.0 * h)
         a2 = at_zero[2]
-        _require_hypotheses(complex(a2), complex(a0p))
+        _require_hypotheses(complex(a2), complex(a0p), 0.0, 0.0)
         c = -complex(a0p) / complex(a2)
     return _track(_rows(coeff_fn, grid), grid, c)
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,21 +8,24 @@ from hypothesis import strategies as st
 
 from flockstab import (
     Arrangement,
-    E_func,
+    HypothesisViolated,
     InvalidTolerance,
     Overall,
     Stability,
-    alphas_betas,
+    branch_curvature,
     build_spec,
     classify,
     conditions,
+    mode_polynomial,
     necessary_condition_value,
     spec_from_dict,
     spec_to_dict,
     spectrum_periodic,
+    track_branches,
 )
 from conftest import alpha_roundoff_spec, random_spec, random_symmetric
-from oracles import D_func, a0_derivative_at_zero
+from oracles import (D_func, E_func, a0_derivative_at_zero, a2_a3_at_zero, alphas_betas,
+                     exact_jet)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -108,7 +114,7 @@ def test_triatomic_cyclic_relabel_invariance():
                 spec.agents[shift:] + spec.agents[:shift],
             )
             rolled_rep = conditions(rolled)
-            for key in ("e_sum", "beta_sum", "moment_plus_correction", "g_product"):
+            for key in ("a2_at_zero", "beta_sum", "moment_plus_correction", "g_product"):
                 assert rolled_rep.case_values[key] == pytest.approx(
                     rep.case_values[key], rel=1e-12, abs=1e-12
                 )
@@ -119,10 +125,8 @@ def test_triatomic_cyclic_relabel_invariance():
 def test_diatomic_figure_three(fig3):
     rep = conditions(fig3)
     assert abs(rep.case_values["moment_plus_correction"]) < 1e-12
-    assert rep.case_values["gain_weighted_alpha_x"] == pytest.approx(
-        14.0 / 15.0, abs=1e-12
-    )
-    assert rep.case_values["a2_at_zero"] == rep.case_values["gain_weighted_alpha_x"]
+    assert rep.case_values["a2_at_zero"] == pytest.approx(14.0 / 15.0, abs=1e-12)
+    assert rep.case_values["a2_at_zero"] == rep.clauses[1].value  # a_4 = 1
     assert not any(rep.verdicts.values())
     assert rep.overall is Overall.NECESSARY_CONDITIONS_HOLD
 
@@ -219,12 +223,97 @@ def _on_manifold(spec, shift=0.0):
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
 def test_zero_tolerance_on_manifold_specs(arrangement):
+    # at tol 0 the rounded on-manifold specs themselves are judged against
+    # the exact slope (test_zero_tolerance_clause_iii_follows_the_exact_slope)
     rng = np.random.default_rng(53)
     for _ in range(50):
         spec = random_spec(rng, arrangement)
-        on = _on_manifold(spec)
-        assert not conditions(on, 0.0).verdicts["iii"]
+        assert not conditions(_on_manifold(spec)).verdicts["iii"]
         assert conditions(_on_manifold(spec, 1e-6), 0.0).verdicts["iii"]
+
+
+def test_float_jet_within_four_ulps_of_exact():
+    rng = np.random.default_rng(71)
+    for arrangement in Arrangement:
+        for _ in range(40):
+            spec = random_spec(rng, arrangement)
+            q = mode_polynomial(spec)
+            for p, values in ((0, q.jet(0).real), (1, q.jet(1).imag)):
+                for value, exact, size in zip(values, exact_jet(spec, p), q.jet_size(p)):
+                    assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(size))
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_zero_tolerance_clause_iii_follows_the_exact_slope(arrangement):
+    # the float slope is within 4 ulps of the exact one and the rule's floor
+    # is 8, so beyond 12 ulps clause iii must trigger and at 0 it must not
+    rng = np.random.default_rng(53)
+    specs = [_on_manifold(spec, shift) for spec in
+             [random_spec(rng, arrangement) for _ in range(50)]
+             for shift in (0.0, 1e-15, -4e-15)]
+    specs += [random_symmetric(rng, arrangement) for _ in range(10)]
+    decided = {True: 0, False: 0}
+    for spec in specs:
+        exact = exact_jet(spec, 1)[0]
+        floor = 12 * Fraction(math.ulp(mode_polynomial(spec).jet_size(1)[0]))
+        if exact != 0 and abs(exact) <= floor:
+            continue
+        triggered = conditions(spec, 0.0).verdicts["iii"]
+        assert triggered is (exact != 0)
+        decided[triggered] += 1
+    assert min(decided.values()) >= 10, decided
+
+
+def _slope_placed(spec, slope):
+    """The spec moved along type 1's rho_x[1] until Im a_0'(0) = slope.
+
+    a_0'(0) is affine in that weight, like the moment, so the on-manifold
+    spec and one step off it locate the target.
+    """
+    on = _on_manifold(spec)
+    per_step = float(mode_polynomial(_on_manifold(spec, 1e-6)).jet(1)[0].imag
+                     - mode_polynomial(on).jet(1)[0].imag) / 1e-6
+    return _on_manifold(spec, slope / per_step)
+
+
+def _accepts_slope(spec):
+    """Whether the hypothesis gate of track_branches takes a_0'(0) as nonzero."""
+    try:
+        branch_curvature(spec)
+    except HypothesisViolated as exc:
+        if "a_0'(0)" in str(exc):
+            return False
+        raise
+    return True
+
+
+@pytest.mark.parametrize("g_moment", [-2e-9, -3.9e-9])
+def test_check_and_rootcurves_agree_near_figure_one(fig1, g_moment):
+    # g_product * moment is 4 a_0'(0) for three types: both values put
+    # |a_0'(0)| below the 1e-9 tolerance, where rootcurves refuses the spec
+    b0, b1 = (a.rho_x[1] - a.rho_x[-1] for a in fig1.agents[:2])
+    g_product = math.prod(a.g_x for a in fig1.agents)
+    doc = spec_to_dict(fig1)
+    rho = doc["agents"][2]["rho_x"]
+    rho["1"] += g_moment / g_product / (2.0 * (1.0 + b0 * b1))
+    rho["-1"] = -1.0 - rho["1"]
+    spec = spec_from_dict(doc)
+    assert g_product * necessary_condition_value(spec) == pytest.approx(g_moment, rel=1e-6)
+    assert not conditions(spec).verdicts["iii"]
+    with pytest.raises(HypothesisViolated, match=r"a_0'\(0\)"):
+        track_branches(spec)
+
+
+@pytest.mark.parametrize("arrangement", list(Arrangement))
+def test_clause_iii_triggers_exactly_when_track_branches_accepts_the_slope(arrangement):
+    rng = np.random.default_rng(83)
+    for _ in range(8):
+        spec = random_spec(rng, arrangement)
+        for slope in (0.0, 5e-10, 9.9e-10, 1.01e-9, 2e-9, -3.9e-9, 5e-9):
+            placed = _slope_placed(spec, slope)
+            assert conditions(placed).verdicts["iii"] is _accepts_slope(placed)
+            if slope != 0.0:
+                assert conditions(placed).verdicts["iii"] is (abs(slope) > 1e-9)
 
 
 def test_pair_sum_roundoff_triggers_clause_ii_at_zero_tolerance():
@@ -269,7 +358,7 @@ def test_alpha_sum_roundoff_triggers_at_zero_tolerance():
         assert rep.verdicts["ii-x"] and rep.verdicts["ii-v"]
 
     rep = conditions(alpha_roundoff_spec(), 0.0)
-    assert rep.case_values["gain_weighted_alpha_x"] > 0.0
+    assert rep.case_values["a2_at_zero"] > 0.0
     assert rep.verdicts == {"i": False, "ii-x": True, "ii-v": False, "iii": False}
     # 6e-13 is beyond roundoff
     assert not conditions(alpha_roundoff_spec(1.5 - 1e-12), 0.0).verdicts["ii-x"]
@@ -277,16 +366,21 @@ def test_alpha_sum_roundoff_triggers_at_zero_tolerance():
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))
 def test_slope_factor_links_moment_to_a0_derivative(arrangement):
-    # Im a0'(0) = factor * gain-product * moment, with the frozen factor
+    # Im a0'(0) = factor * gain-product * moment, with the frozen factor;
+    # a2(0) and a3(0) are the closed forms' E pair sums (three types) and
+    # gain-weighted first-offset alphas (two types)
     factor = A0_SLOPE_FACTOR[arrangement]
     rng = np.random.default_rng(17)
-    for _ in range(25):
+    for _ in range(300):
         spec = random_spec(rng, arrangement)
         g_product = np.prod([a.g_x for a in spec.agents])
         lhs = a0_derivative_at_zero(spec)
         rhs = factor * g_product * necessary_condition_value(spec)
         assert lhs.real == pytest.approx(0.0, abs=1e-12)
         assert abs(lhs.imag - rhs) <= 1e-8 * max(1.0, abs(rhs))
+        q = mode_polynomial(spec)
+        for k, closed_form in zip((2, 3), a2_a3_at_zero(spec)):
+            assert abs(q.jet(0)[k] - closed_form) <= 1e-13 * (1.0 + q.jet_size(0)[k])
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))

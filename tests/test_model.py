@@ -13,12 +13,12 @@ from flockstab import (
     ConstraintViolation,
     ShapeError,
     SizeError,
-    alphas_betas,
     assemble_line,
     assemble_periodic,
     build_spec,
 )
 from conftest import random_diatomic, random_triatomic
+from oracles import alphas_betas
 
 # dyadic rationals keep every intermediate sum exactly representable,
 # so identities that hold in exact arithmetic hold bit-for-bit

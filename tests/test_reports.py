@@ -456,11 +456,10 @@ _CONDITIONS = {
   ],
   "case_values": {
     "g_product": -1.0,
-    "e_sum": 2.137142857142857,
-    "mixed_e_sum": 5.827714285714285,
     "beta_sum": -0.08571428571428563,
     "moment_plus_correction": 9.71445146547012e-17,
-    "a2_at_zero": -2.137142857142857
+    "a2_at_zero": -2.137142857142857,
+    "a0_slope_at_zero": 0.0
   },
   "overall": "necessary-conditions-hold"
 }
@@ -475,7 +474,7 @@ _CONDITIONS = {
     },
     {
       "id": "ii",
-      "value": 2.12,
+      "value": 2.1200000000000006,
       "triggered": false,
       "note": "vanishing pair sum forces a triple zero eigenvalue"
     },
@@ -488,11 +487,10 @@ _CONDITIONS = {
   ],
   "case_values": {
     "g_product": -1.0,
-    "e_sum": 2.12,
-    "mixed_e_sum": 5.85,
     "beta_sum": 0.0,
     "moment_plus_correction": 0.096,
-    "a2_at_zero": -2.12
+    "a2_at_zero": -2.1200000000000006,
+    "a0_slope_at_zero": -0.023999999999999994
   },
   "overall": "instability-certified"
 }

@@ -10,25 +10,22 @@ import flockstab as fs
 from flockstab import (
     Arrangement,
     DegenerateLeadingCoefficient,
-    E_func,
     HypothesisViolated,
     InvalidTolerance,
     Stability,
-    alphas_betas,
     assemble_periodic,
     branch_curvature,
     build_spec,
     char_poly,
     classify,
-    conditions,
     mode_roots,
     spectrum_periodic,
 )
 from flockstab import mode_polynomial
-from flockstab.rootcurves import HYPOTHESIS_TOL
+from flockstab.conditions import CONDITION_TOL
 from conftest import (random_diatomic, random_spec, random_symmetric, random_triatomic,
                       zero_gain_spec)
-from oracles import a0_constant_term, a0_derivative_at_zero
+from oracles import E_func, a0_constant_term, a0_derivative_at_zero, a2_a3_at_zero, alphas_betas
 
 
 def _mode_matrix(spec, phi):
@@ -538,7 +535,7 @@ def test_jet_matches_closed_forms(arrangement, fig1, fig2, fig3, fig3c):
     for spec in figures + [random_spec(rng, arrangement) for _ in range(25)]:
         q = mode_polynomial(spec)
         slope = a0_derivative_at_zero(spec)
-        a2 = conditions(spec).case_values["a2_at_zero"]
+        a2 = a2_a3_at_zero(spec)[0]
         assert abs(q.jet(1)[0] - slope) <= 1e-13 * (1.0 + abs(slope))
         assert abs(q.jet(0)[2] - a2) <= 1e-13 * (1.0 + abs(a2))
 
@@ -577,7 +574,7 @@ def test_branch_curvature_bit_equal_to_single_row_sums(fig1, fig2, fig3, fig3c):
     for spec in _jet_specs(fig1, fig2, fig3, fig3c):
         q = mode_polynomial(spec)
         a2, a0p = float(q.c[2].sum()), 1j * float(q.c[0] @ q.shifts)
-        if min(abs(a2), abs(a0p)) <= HYPOTHESIS_TOL:
+        if min(abs(a2), abs(a0p)) <= CONDITION_TOL:
             with pytest.raises(HypothesisViolated):
                 branch_curvature(spec)
         else:
