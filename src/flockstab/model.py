@@ -15,9 +15,9 @@ row that misses a neighbor:
 - Type II: the centre weight stays 1 and each missing rho[j] is added to
   the mirrored offset -j.
 
-State ordering is block form throughout: all position blocks (one block of
-n cells per agent type), then all velocity blocks in the same type order.
-The head vehicle of the line is type 1 in cell 1, i.e. state index 0.
+:func:`_stencil` is the one reading of it.  The dense matrices (the tests'
+oracle; no run builds one) put all position blocks, n cells per agent type,
+before all velocity blocks in the same type order; the leader is index 0.
 """
 
 from __future__ import annotations
@@ -220,63 +220,60 @@ def _block_index(k, t: int, n: int):
     return (k % t) * n + k // t
 
 
-def _couplings(agent: AgentParams, tn: int):
-    """(column shift, gain, weights) of the position and velocity couplings."""
-    return ((0, agent.g_x, agent.rho_x), (tn, agent.g_v, agent.rho_v))
+def _row(rho: Mapping[int, float], k: int, tn: int, bc: BoundaryCondition | None):
+    """Neighbor vehicle -> weight (before the gain) of vehicle k's row: the circle's,
+    k + j not wrapped, unless the line's row misses a neighbor and is truncated."""
+    kept = {j: w for j, w in rho.items() if bc is None or 0 <= k + j < tn}
+    missing = {j: w for j, w in rho.items() if j not in kept}
+    centre = 1.0
+    if missing and bc is BoundaryCondition.TYPE_I:
+        centre = -sum(kept[j] for j in sorted(kept, key=abs))
+    elif missing:  # Type II: each missing weight moves to the mirrored offset
+        kept = {j: w + missing.get(-j, 0.0) for j, w in kept.items()}
+    return {k: centre, **{k + j: w for j, w in kept.items()}}
 
 
-def assemble_periodic(spec: FlockSpec, n: int) -> SystemMatrix:
-    """Dense system matrix of the flock closed into a circle of n cells."""
+def _stencil(spec: FlockSpec, n: int, bc: BoundaryCondition | None = None):
+    """Every acceleration term of n cells per type as arrays (k, kind, c, g * w):
+    vehicle k's acceleration takes g * w times the position (kind 0) or velocity
+    (kind 1) of vehicle c.  With no bc the circle, c not wrapped; with a bc the
+    open line, whose leader has no terms."""
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
     t = spec.n_types
     tn = t * n
+    terms = []
+    for k in range(0 if bc is None else 1, tn):
+        agent = spec.agents[k % t]
+        for kind, (g, rho) in enumerate(((agent.g_x, agent.rho_x), (agent.g_v, agent.rho_v))):
+            terms.extend((k, kind, c, g * w) for c, w in _row(rho, k, tn, bc).items())
+    return tuple(np.array(column) for column in zip(*terms))
+
+
+def _assemble(spec: FlockSpec, n: int, bc: BoundaryCondition | None) -> SystemMatrix:
+    """The dense block-order matrix of :func:`_stencil`'s terms, the circle's wrapped."""
+    k, kind, c, gw = _stencil(spec, n, bc)
+    t = spec.n_types
+    tn = t * n
     m = np.zeros((2 * tn, 2 * tn))
     m[:tn, tn:] = np.eye(tn)
-    for a, agent in enumerate(spec.agents):
-        k = np.arange(a, tn, t)
-        rows = tn + _block_index(k, t, n)
-        for shift, g, rho in _couplings(agent, tn):
-            for j, w in ((0, 1.0), *rho.items()):
-                m[rows, shift + _block_index((k + j) % tn, t, n)] += g * w
+    m[tn + _block_index(k, t, n), kind * tn + _block_index(c % tn, t, n)] += gw
     return SystemMatrix(m)
 
 
-def _truncated_row(rho: Mapping[int, float], k: int, tn: int, bc: BoundaryCondition):
-    """Neighbor vehicle -> weight (before the gain) of line vehicle k's row."""
-    kept = {j: w for j, w in rho.items() if 0 <= k + j < tn}
-    if bc is BoundaryCondition.TYPE_I:
-        centre = -sum(kept[j] for j in sorted(kept, key=abs))
-    else:
-        centre = 1.0
-        for j, w in rho.items():
-            if j not in kept:
-                kept[-j] += w
-    return {k: centre, **{k + j: w for j, w in kept.items()}}
+def assemble_periodic(spec: FlockSpec, n: int) -> SystemMatrix:
+    """Dense system matrix of the flock closed into a circle of n cells."""
+    return _assemble(spec, n, None)
 
 
 def assemble_line(spec: FlockSpec, n: int, bc: BoundaryCondition) -> SystemMatrix:
-    """System matrix of the open line: periodic interior, truncated ends.
+    """Dense system matrix of the open line: periodic interior, truncated ends.
 
     The head vehicle's acceleration row is identically zero (it drives the
     flock); every other row that misses a neighbor takes the Type I or
     Type II truncation, both of which keep the row sum at zero.
     """
-    bc = BoundaryCondition(bc)
-    m = assemble_periodic(spec, n).entries.copy()
-    t = spec.n_types
-    tn = t * n
-    m[tn, :] = 0.0  # leader: type 1, cell 1
-    for k in range(1, tn):
-        agent = spec.agents[k % t]
-        if all(0 <= k + j < tn for j in agent.rho_x):
-            continue
-        row = tn + _block_index(k, t, n)
-        m[row, :] = 0.0
-        for shift, g, rho in _couplings(agent, tn):
-            for c, w in _truncated_row(rho, k, tn, bc).items():
-                m[row, shift + _block_index(c, t, n)] = g * w
-    return SystemMatrix(m)
+    return _assemble(spec, n, BoundaryCondition(bc))
 
 
 # --- JSON serialization ----------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUp, SizeError
-from .model import BoundaryCondition, FlockSpec, _block_index, assemble_line, check_budget
+from .model import BoundaryCondition, FlockSpec, _block_index, _stencil, check_budget
 
 BLOWUP_GUARD = 1e12
 
@@ -35,7 +35,7 @@ DEFAULT_DT = 0.01
 #: a run is refused over this many RK4 steps (2500 times figure 1a's 40 000)
 _MAX_STEPS = 10**8
 
-#: dense dim x dim arrays a run holds at once, rounded up (2.46, 28.3 MB, at dim 1200
+#: dense dim x dim arrays a run holds at once, rounded up (2.40, 27.6 MB, at dim 1200
 #: under tracemalloc: Q and the column buffers): 2 GiB allows dim 9459, 4700 vehicles
 _DENSE_ARRAYS = 3
 
@@ -79,15 +79,21 @@ class TransientReport:
     converged: bool
 
 
-def _step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of y' = M y as a matrix, M in vehicle order: y <- P y.
+def _line_band(spec: FlockSpec, n: int, bc: BoundaryCondition) -> _Band:
+    """The line's M in vehicle order (x_k at 2k, v_k at 2k + 1), from the stencil."""
+    k, kind, c, gw = _stencil(spec, n, BoundaryCondition(bc))
+    x = 2 * np.arange(spec.n_types * n)  # x_k' = v_k
+    return _Band(2 * len(x), np.r_[x, 2 * k + 1], np.r_[x + 1, 2 * c + kind],
+                 np.r_[np.ones(len(x)), gw])
+
+
+def _step_matrix(band: _Band, dt: float) -> np.ndarray:
+    """One classical RK4 step of y' = M y as a matrix, from M's band: y <- P y.
 
     P = I + hM (I + hM/2 (I + hM/3 (I + hM/4))), h = dt, by Horner's rule as four
     band products of hM on the rows of the identity (row i holds column i of P).
     """
-    band = _Band(m)
     band.weights *= dt
-    del m  # the caller's only copy: the row buffers take its place
     i = np.arange(band.dim)
     rows = band.power(0)
     for k in (4.0, 3.0, 2.0, 1.0):
@@ -115,27 +121,27 @@ def _column_start_matrix(band: _Band) -> np.ndarray:
 
 
 class _Band:
-    """y <- P y for a banded P, on the rows of a zero-padded buffer.
+    """y <- P y for the banded dim x dim P with entries P[i, j] = v, on padded rows.
 
-    The index range is cut into nb blocks of P's half-bandwidth w, so row
-    block b of P meets only the column blocks b - 1, b and b + 1.  A padded
-    row holds w zeros, the state, and zeros up to ``width`` = (nb + 2) w;
+    The index range is cut into nb blocks of w, the half-bandwidth of the nonzero
+    v, so row block b of P meets only the column blocks b - 1, b and b + 1.  A
+    padded row holds w zeros, the state, and zeros up to ``width`` = (nb + 2) w;
     block b of P y is then the row's 3w-wide window from padded offset b w
     times ``weights[b]``: one stacked matmul of :meth:`windows` by
     ``weights`` into :meth:`blocks` steps every row at once, without a copy.
     """
 
-    def __init__(self, p: np.ndarray):
-        self.dim = dim = len(p)
-        i, j = np.nonzero(p)
+    def __init__(self, dim: int, i: np.ndarray, j: np.ndarray, v: np.ndarray):
+        nonzero = v != 0.0  # a zero weight stays +0.0, as in a dense assembly
+        i, j, v = i[nonzero], j[nonzero], v[nonzero]
+        self.dim = dim
         self.w = w = max(1, int(np.abs(i - j).max(initial=0)))
         self.nb = nb = -(-dim // w)
         self.width = (nb + 2) * w
-        padded = np.zeros((nb * w, self.width))
-        padded[:dim, w:w + dim] = p
-        b = np.arange(nb)[:, None, None] * w
         # weights[b, c, r] = P[b w + r, (b - 1) w + c]
-        self.weights = padded[b + np.arange(w), b + np.arange(3 * w)[:, None]]
+        b = i // w
+        self.weights = np.zeros((nb, 3 * w, w))
+        self.weights[b, j - (b - 1) * w, i - b * w] = v
 
     def power(self, k: int, rows: np.ndarray | None = None) -> np.ndarray:
         """P^k y for each (dim, width) padded row y, those of the identity by default,
@@ -178,7 +184,8 @@ def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
     the overflow guard or stops being finite (the expected outcome for
     genuinely unstable parameter sets).  A run of more than 1e8 steps, or
     whose stored states or dense operators would exceed 2 GiB, raises
-    ``ValueError`` before anything is assembled or allocated.
+    ``ValueError`` before anything is assembled or allocated; after those
+    checks, fewer than 3 cells per type raise :class:`SizeError`.
     """
     return _run(spec, n, bc, t_max, dt, store=True)
 
@@ -201,6 +208,7 @@ def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float
     stored = steps // stride + 1
     check_budget(f"{stored} stored states of {dim} values", stored * dim * 8)
     check_budget(f"{_DENSE_ARRAYS} dense {dim} x {dim} arrays", _DENSE_ARRAYS * dim * dim * 8)
+    m_band = _line_band(spec, n, bc)  # refuses n < 3
     if y0 is None:
         y0 = np.zeros(dim)
         y0[dim // 2] = 1.0  # leader velocity kick
@@ -221,11 +229,11 @@ def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float
     # an out-of-region dt or an unstable flock overflows P, Q or the steps past
     # a guard crossing; the guard reports that as a BlowUp, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _step_matrix(assemble_line(spec, n, bc).entries[np.ix_(order, order)], dt)
+        p = _step_matrix(m_band, dt)
         if not np.isfinite(p).all():
             # some row of P y meets a non-finite entry: the first step is not finite
             raise BlowUp(dt, np.abs(p @ y).max())
-        band = _Band(p)
+        band = _Band(dim, *np.nonzero(p), p[p != 0.0])
         del p
         q = _column_start_matrix(band)
         batch = _COLUMNS * _BLOCK_STEPS

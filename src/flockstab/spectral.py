@@ -40,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateLeadingCoefficient, InvalidTolerance, SizeError
-from .model import FlockSpec, check_budget
+from .model import FlockSpec, _stencil, check_budget
 
 CLASSIFY_TOL = 1e-9
 
@@ -163,9 +163,9 @@ class ModePolynomial:
 def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
     """The spec's mode polynomial, by exact polynomial arithmetic on the stencil.
 
-    Mode-matrix entry (a, b) is a polynomial in nu and z: each stencil
-    term of type a that reaches type b in the cell shifted by s adds
-    g * rho[j] z^s to its nu^0 (position) and nu^1 (velocity) coefficient,
+    Mode-matrix entry (a, b) is a polynomial in nu and z: each term of the
+    circle's first cell, vehicle a < t reaching vehicle t*s + b, adds its
+    weight times z^s to the nu^0 (position) or nu^1 (velocity) coefficient,
     and the diagonal carries -nu^2.  Q is the determinant, summed over the
     t! permutations.  Substituting nu = x^w and z = x, with w wider than
     the z range of any product, makes each product one convolution in x.
@@ -173,17 +173,14 @@ def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
     (a, b, s), so each entry of m is one stencil term.
     """
     t = spec.n_types
-    # (offset j, cell shift s, target type b) of each stencil term: a + j = t*s + b
-    terms = [[(j, *divmod(a + j, t)) for j in (0, *agent.rho_x)]
-             for a, agent in enumerate(spec.agents)]
-    reach = max(abs(s) for row in terms for _, s, _ in row)
+    k, kind, c, gw = _stencil(spec, 3)
+    cell = k < t
+    k, kind, (s, b), gw = k[cell], kind[cell], np.divmod(c[cell], t), gw[cell]
+    reach = int(np.abs(s).max())
     w = 2 * t * reach + 1
     m = np.zeros((t, t, 3, w))  # [a, b, nu power, z power + reach]
-    for a, (agent, row) in enumerate(zip(spec.agents, terms)):
-        m[a, a, 2, reach] = -1.0
-        for j, s, b in row:
-            m[a, b, 0, reach + s] += agent.g_x * agent.rho_x[j] if j else agent.g_x
-            m[a, b, 1, reach + s] += agent.g_v * agent.rho_v[j] if j else agent.g_v
+    m[np.arange(t), np.arange(t), 2, reach] = -1.0
+    m[k, b, kind, reach + s] += gw
     magnitude = np.abs(m)
     c = np.zeros((2 * t + 1) * w)
     size = np.zeros(len(c))

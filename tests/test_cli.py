@@ -219,11 +219,22 @@ def test_simulate_over_the_step_budget_is_an_input_error(tmp_path, fig1_path, ca
     assert not out.exists()
 
 
+def test_simulate_fewer_than_three_cells_is_an_input_error(tmp_path, fig1_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(fig1_path), "--n", "2", "--tmax", "3",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need n >= 3 cells per type, got 2\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [(["simulate", "--n", "100000", "--tmax", "1"], "3 dense 600000 x 600000 arrays"),
-     (["spectrum", "--n", "100000000"], "100000000 modes of 6 roots")],
-    ids=["simulate", "spectrum"],
+     (["spectrum", "--n", "100000000"], "100000000 modes of 6 roots"),
+     (["rootcurves", "--phi-points", "300000000"], "300000000 angles")],
+    ids=["simulate", "spectrum", "rootcurves"],
 )
 def test_run_over_the_memory_budget_is_an_input_error(tmp_path, fig1_path, capsys,
                                                       argv, what):

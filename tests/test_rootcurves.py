@@ -39,6 +39,16 @@ def test_angle_grid_refuses_bad_bounds(grid, bad):
         angle_grid(*grid)
 
 
+def test_angle_grid_over_the_budget_is_refused_before_allocation(monkeypatch):
+    def allocated(*args):
+        raise AssertionError("allocated a grid over the budget")
+
+    monkeypatch.setattr(np, "geomspace", allocated)
+    with pytest.raises(ValueError, match=r"^300000000 angles take 390000000000 bytes, "
+                                         r"over the budget of 2147483648 bytes$"):
+        angle_grid(1e-6, 1e-1, 300_000_000)
+
+
 def test_default_grid_is_the_angle_grid():
     assert np.array_equal(default_grid(), np.geomspace(*DEFAULT_GRID))
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from flockstab.figures import figure1, figure2, figure3, figure3c
 from flockstab import simulation
 from flockstab.model import _block_index, assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
-                                  _column_start_matrix, _run, _step_matrix, _vehicle_order,
-                                  default_horizon)
+                                  _column_start_matrix, _line_band, _run, _step_matrix,
+                                  _vehicle_order, default_horizon)
 from conftest import random_diatomic, random_spec, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -164,15 +165,53 @@ def test_extremum_ties_go_to_the_first_block_agent(steps):
     _assert_matches_reference(_uncoupled_spec(), n, BC1, steps, 0.01, y0)
 
 
+def _dense_line(spec, n, bc):
+    """The dense oracle of M in vehicle order: the block-order line matrix, permuted."""
+    order = _vehicle_order(spec.n_types, n)
+    return assemble_line(spec, n, bc).entries[np.ix_(order, order)]
+
+
+def _band_of(p):
+    """The band of a dense P, from its nonzero entries as :func:`_run` reads P's."""
+    i, j = np.nonzero(p)
+    return _Band(len(p), i, j, p[i, j])
+
+
+_BAND_SPECS = {
+    "figure1": figure1,
+    "figure3": figure3,  # zero weights, which must enter the band as +0.0
+    "random-triatomic": lambda: random_triatomic(np.random.default_rng(7)),
+    "random-diatomic": lambda: random_diatomic(np.random.default_rng(8)),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 20])
+@pytest.mark.parametrize("bc", [BC1, BC2])
+@pytest.mark.parametrize("name", sorted(_BAND_SPECS))
+def test_line_band_is_the_dense_line_operator(name, bc, n):
+    spec = _BAND_SPECS[name]()
+    band, dense = _line_band(spec, n, bc), _dense_line(spec, n, bc)
+    i, j = np.nonzero(dense)
+    assert band.dim == len(dense)
+    assert band.w == max(1, np.abs(i - j).max())
+    # weights[b, c, r] = M[b w + r, (b - 1) w + c]; every weight off M is zero
+    b, c, r = np.indices(band.weights.shape)
+    rows, cols = b * band.w + r, (b - 1) * band.w + c
+    on = (rows < len(dense)) & (cols >= 0) & (cols < len(dense))
+    assert not band.weights[~on].any()
+    rebuilt = np.zeros_like(dense)
+    rebuilt[rows[on], cols[on]] = band.weights[on]
+    assert rebuilt.tobytes() == dense.tobytes()  # value for value, signed zeros included
+
+
 @pytest.mark.parametrize("n", [3, 4, 7, 20])
 @pytest.mark.parametrize("bc", [BC1, BC2])
 @pytest.mark.parametrize("arrangement", list(Arrangement))
 def test_banded_step_matches_dense_product(arrangement, bc, n):
     rng = np.random.default_rng([n, bc.value, arrangement.n_types])
     spec = random_spec(rng, arrangement)
-    order = _vehicle_order(spec.n_types, n)
-    p = _step_matrix(assemble_line(spec, n, bc).entries[np.ix_(order, order)], 0.01)
-    band = _Band(p)
+    p = _step_matrix(_line_band(spec, n, bc), 0.01)
+    band = _band_of(p)
     assert band.w <= 4 * (2 * max(arrangement.offsets) + 1)
     dim = len(p)
     rows = np.zeros((2, _COLUMNS, band.width))
@@ -189,13 +228,12 @@ def test_banded_step_matches_dense_product(arrangement, bc, n):
 def test_band_built_step_matrix_and_powers_match_dense_products(arrangement, bc):
     rng = np.random.default_rng([bc.value, arrangement.n_types, 1])
     spec = random_spec(rng, arrangement)
-    order = _vehicle_order(spec.n_types, 7)
-    m = assemble_line(spec, 7, bc).entries[np.ix_(order, order)]
+    m = _dense_line(spec, 7, bc)
     h, eye = 0.01 * m, np.eye(len(m))
     dense = eye + h @ (eye + (h / 2) @ (eye + (h / 3) @ (eye + h / 4)))
-    p = _step_matrix(m, 0.01)
+    p = _step_matrix(_line_band(spec, 7, bc), 0.01)
     assert np.abs(p - dense).max() <= 1e-15 * np.abs(dense).max()
-    band = _Band(p)
+    band = _band_of(p)
     for k in (0, 1, 5):
         rows = band.power(k)
         power = np.linalg.matrix_power(p, k)
@@ -216,10 +254,8 @@ def _raw_power(band):
 def test_column_start_matrix_has_no_subnormal_entry(make, n, bc, raw_subnormal):
     # N = 180 for figures 1 and 2 and N = 100 for figure 3; the raw power of
     # the first two holds 976 subnormal entries, Q none
-    spec = make()
-    order = _vehicle_order(spec.n_types, n)
-    p = _step_matrix(assemble_line(spec, n, bc).entries[np.ix_(order, order)], 0.01)
-    band = _Band(p)
+    p = _step_matrix(_line_band(make(), n, bc), 0.01)
+    band = _band_of(p)
     q = _column_start_matrix(band)
     tiny = np.finfo(float).tiny
     raw = _raw_power(band)
@@ -413,9 +449,9 @@ def test_non_finite_step_matrix_is_a_blowup(fig1, monkeypatch):
     # sized; the band of M, finite, is sized first to build P
     band = simulation._Band
 
-    def finite_band(p):
-        assert np.isfinite(p).all(), "sized the band of a non-finite matrix"
-        return band(p)
+    def finite_band(dim, i, j, v):
+        assert np.isfinite(v).all(), "sized the band of a non-finite matrix"
+        return band(dim, i, j, v)
 
     monkeypatch.setattr(simulation, "_Band", finite_band)
     with pytest.raises(BlowUp) as err:
@@ -434,6 +470,39 @@ def test_nan_first_step_from_a_finite_start_is_a_blowup(fig1):
         _run(fig1, 10, BC1, 1e4, 1e3, True, y0)
     assert err.value.time == 1e3
     assert np.isnan(err.value.norm)
+
+
+@pytest.mark.parametrize("n", [2, 0])
+def test_simulate_refuses_fewer_than_three_cells(fig1, n):
+    with pytest.raises(SizeError, match=f"^need n >= 3 cells per type, got {n}$"):
+        simulate(fig1, n, BC1, 1.0)
+
+
+# (spec, bc, n, simulate's peak deviation, time and agent at the default horizon,
+#  scan sizes and magnitudes), as the dense block-order assembly gave them
+_UNASSEMBLED_RUNS = [
+    (figure1, BC1, 10, (-32.814010525797, 42.01, 29),
+     [30, 36], [-32.814010525797, -40.12982639933912]),
+    (figure3, BC2, 10, (-13.0112177124998, 15.280000000000001, 19),
+     [20, 30], [-13.0112177124998, -20.368839599887746]),
+]
+
+
+@pytest.mark.parametrize("make, bc, n, peak, sizes, magnitudes", _UNASSEMBLED_RUNS,
+                         ids=["figure1", "figure3"])
+def test_runs_assemble_no_dense_matrix(monkeypatch, make, bc, n, peak, sizes, magnitudes):
+    def assembled(*args):
+        raise AssertionError("a run assembled a dense system matrix")
+
+    for module in list(sys.modules.values()):
+        if isinstance(module, ModuleType) and module.__name__.startswith("flockstab"):
+            for name in ("assemble_line", "assemble_periodic"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, assembled)
+    spec = make()
+    traj = simulate(spec, n, bc, default_horizon(spec.n_types * n))
+    assert (traj.peak_deviation, traj.peak_time, traj.peak_agent) == peak
+    assert [p.magnitude for p in scan_N(spec, bc, sizes).points] == magnitudes
 
 
 def test_simulate_argument_validation(fig1):
@@ -494,7 +563,7 @@ def test_simulate_refuses_runs_over_the_budget(fig1, monkeypatch, n, t_max, dt, 
     def no_assembly(*args):
         raise AssertionError("assembled a run over the budget")
 
-    monkeypatch.setattr(simulation, "assemble_line", no_assembly)
+    monkeypatch.setattr(simulation, "_stencil", no_assembly)
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate(fig1, n, BC1, t_max, dt)
 
@@ -517,7 +586,7 @@ def test_simulate_budgets_dense_operators(fig1, monkeypatch, n, message):
     def assembled(*args):
         raise _Assembled
 
-    monkeypatch.setattr(simulation, "assemble_line", assembled)
+    monkeypatch.setattr(simulation, "_stencil", assembled)
     with pytest.raises(_Assembled if message is None else ValueError,
                        match=None if message is None else f"^{message}$"):
         simulate(fig1, n, BC1, 1.0, 0.01)
@@ -530,7 +599,7 @@ def test_scan_has_no_stored_state_budget(fig1, monkeypatch, n_total):
     def assembled(*args):
         raise _Assembled
 
-    monkeypatch.setattr(simulation, "assemble_line", assembled)
+    monkeypatch.setattr(simulation, "_stencil", assembled)
     with pytest.raises(ValueError, match=r"^\d+ stored states of \d+ values take \d+ bytes, "
                                          r"over the budget of 2147483648 bytes$"):
         simulate(fig1, n_total // 3, BC1, default_horizon(n_total))
@@ -552,7 +621,7 @@ def test_scan_is_refused_as_simulate_is(fig1, monkeypatch, n, t_max, dt, message
     def no_assembly(*args):
         raise AssertionError("assembled a run over the budget")
 
-    monkeypatch.setattr(simulation, "assemble_line", no_assembly)
+    monkeypatch.setattr(simulation, "_stencil", no_assembly)
     for run in (lambda: simulate(fig1, n, BC1, t_max, dt),
                 lambda: scan_N(fig1, BC1, [3 * n], dt=dt, t_max=t_max)):
         with pytest.raises(ValueError, match=f"^{message}$"):
