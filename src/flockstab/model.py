@@ -16,8 +16,8 @@ row that misses a neighbor:
   the mirrored offset -j.
 
 :func:`_stencil` is the one reading of it.  The dense matrices (the tests'
-oracle; no run builds one) put all position blocks, n cells per agent type,
-before all velocity blocks in the same type order; the leader is index 0.
+oracle; no run builds one) put the positions of vehicles 0..N-1 in line
+order before their velocities in the same order; the leader is index 0.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class FlockSpec:
 
 @dataclass(frozen=True)
 class SystemMatrix:
-    """Dense first-order system matrix in block (positions, velocities) form."""
+    """Dense first-order system matrix [[0, I], [Lx, Lv]] of the state
+    [positions; velocities], each of vehicles 0..N-1 in line order."""
 
     entries: np.ndarray
 
@@ -215,11 +216,6 @@ def build_spec(arrangement: Arrangement, agents: Sequence) -> FlockSpec:
     return FlockSpec(arrangement, tuple(_as_agent(a, arrangement.offsets) for a in agents))
 
 
-def _block_index(k, t: int, n: int):
-    """Block-order state index of vehicle k (type k mod t, cell k // t)."""
-    return (k % t) * n + k // t
-
-
 def _row(rho: Mapping[int, float], k: int, tn: int, bc: BoundaryCondition | None):
     """Neighbor vehicle -> weight (before the gain) of vehicle k's row: the circle's,
     k + j not wrapped, unless the line's row misses a neighbor and is truncated."""
@@ -251,13 +247,12 @@ def _stencil(spec: FlockSpec, n: int, bc: BoundaryCondition | None = None):
 
 
 def _assemble(spec: FlockSpec, n: int, bc: BoundaryCondition | None) -> SystemMatrix:
-    """The dense block-order matrix of :func:`_stencil`'s terms, the circle's wrapped."""
+    """The dense matrix of :func:`_stencil`'s terms, the circle's wrapped."""
     k, kind, c, gw = _stencil(spec, n, bc)
-    t = spec.n_types
-    tn = t * n
+    tn = spec.n_types * n
     m = np.zeros((2 * tn, 2 * tn))
     m[:tn, tn:] = np.eye(tn)
-    m[tn + _block_index(k, t, n), kind * tn + _block_index(c % tn, t, n)] += gw
+    m[tn + k, kind * tn + c % tn] += gw
     return SystemMatrix(m)
 
 

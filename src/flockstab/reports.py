@@ -261,10 +261,11 @@ _MAX_PLOTTED_AGENTS = 40
 
 
 def trajectory_svg(traj: Trajectory) -> str:
-    """Leader-relative deviations over time, one polyline per sampled agent."""
+    """Leader-relative deviations over time, one polyline per sampled vehicle:
+    up to 40, evenly from the leader to the last vehicle."""
     n = traj.n_agents
-    step = max(1, int(np.ceil(n / _MAX_PLOTTED_AGENTS)))
-    dev = traj.deviations(agents=slice(0, n, step))
+    agents = np.round(np.linspace(0, n - 1, min(n, _MAX_PLOTTED_AGENTS))).astype(int)
+    dev = traj.deviations(agents=agents)
     series = [Series(traj.times, column) for column in dev.T]
     return render_plot(
         series,

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BlowUp, SizeError
-from .model import BoundaryCondition, FlockSpec, _block_index, _stencil, check_budget
+from .model import BoundaryCondition, FlockSpec, _stencil, check_budget
 
 BLOWUP_GUARD = 1e12
 
@@ -44,9 +44,10 @@ _DENSE_ARRAYS = 3
 class Trajectory:
     """Decimated state history plus the full-resolution extremum record.
 
-    ``states`` holds one row per stored time: N positions then N
-    velocities, in type-block order.  The extremum fields are tracked at
-    every integration step, not just the stored ones.
+    ``states`` holds one row per stored time: the positions of vehicles
+    0..N-1 in line order (0 is the leader), then their velocities in the
+    same order.  The extremum fields are tracked at every integration step,
+    not just the stored ones; ``peak_agent`` is a vehicle index.
     """
 
     times: np.ndarray
@@ -80,7 +81,7 @@ class TransientReport:
 
 
 def _line_band(spec: FlockSpec, n: int, bc: BoundaryCondition) -> _Band:
-    """The line's M in vehicle order (x_k at 2k, v_k at 2k + 1), from the stencil."""
+    """The line's M interleaved (x_k at 2k, v_k at 2k + 1), from the stencil."""
     k, kind, c, gw = _stencil(spec, n, BoundaryCondition(bc))
     x = 2 * np.arange(spec.n_types * n)  # x_k' = v_k
     return _Band(2 * len(x), np.r_[x, 2 * k + 1], np.r_[x + 1, 2 * c + kind],
@@ -101,12 +102,6 @@ def _step_matrix(band: _Band, dt: float) -> np.ndarray:
         rows /= k
         rows[i, band.w + i] += 1.0
     return rows[:, band.w:band.w + band.dim].T
-
-
-def _vehicle_order(t: int, n: int) -> np.ndarray:
-    """The block-order index of each state in vehicle order x_0, v_0, x_1, v_1, ..."""
-    k = _block_index(np.arange(t * n), t, n)
-    return np.stack((k, t * n + k), axis=1).ravel()
 
 
 def _column_start_matrix(band: _Band) -> np.ndarray:
@@ -173,9 +168,9 @@ def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
              dt: float = DEFAULT_DT) -> Trajectory:
     """Integrate the line system from the leader kick with classical fixed-step RK4.
 
-    One RK4 step is the matrix product y <- P y.  In vehicle order (x_0, v_0,
-    x_1, v_1, ...) M and P are banded, and one block-tridiagonal product (see
-    :class:`_Band`) builds P from M, Q = P^32 from P (see
+    One RK4 step is the matrix product y <- P y.  With the state interleaved
+    (x_0, v_0, x_1, v_1, ...) M and P are banded, and one block-tridiagonal
+    product (see :class:`_Band`) builds P from M, Q = P^32 from P (see
     :func:`_column_start_matrix`), and steps batches of 32 columns of 32
     steps: column c starts from Q^c y, and each step advances all columns at
     once.  In :func:`_run`, the guard, extremum and storage cover every step.
@@ -192,9 +187,10 @@ def simulate(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float,
 
 def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float,
          store: bool, y0: np.ndarray | None = None) -> Trajectory:
-    """:func:`simulate`'s checks and run, from y0 in block order or the leader
-    kick.  The stride is capped at steps + 1, which stores only t = 0 as any
-    larger one (or inf) would; a run with store False takes that stride."""
+    """:func:`simulate`'s checks and run, from y0 (a row of ``states``) or the
+    leader kick; the band steps the state interleaved as x_0, v_0, x_1, v_1, ...
+    The stride is capped at steps + 1, which stores only t = 0 as any larger
+    one (or inf) would; a run with store False takes that stride."""
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not dt <= t_max < np.inf:
@@ -215,17 +211,14 @@ def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float
 
     n_agents = dim // 2
     times = np.arange(stored) * (stride * dt)
-    states = np.empty((stored, dim))
-    states[0] = y0
+    states = np.empty((stored, 2, n_agents))  # [positions; velocities] per row
+    states[0] = y0.reshape(2, n_agents)
 
-    dev = y0[:n_agents] - y0[0]
+    dev = states[0, 0] - states[0, 0, 0]
     worst = int(np.argmax(np.abs(dev)))
     peak, peak_t, peak_agent = dev[worst], 0.0, worst
 
-    order = _vehicle_order(spec.n_types, n)
-    agent = order[::2]  # block-order agent of each vehicle
-    to_block = np.argsort(order)
-    y = y0[order]
+    y = states[0].T.ravel()  # interleaved
     # an out-of-region dt or an unstable flock overflows P, Q or the steps past
     # a guard crossing; the guard reports that as a BlowUp, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,8 +237,6 @@ def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float
         # agents first: the per-row extrema below are then elementwise over
         # (steps, columns) planes, not one short reduction per row
         positions = np.empty((n_agents, _BLOCK_STEPS, _COLUMNS))
-        padded_rows = cols.reshape(-1, band.width)
-        from_padded = to_block + band.w
         done = 0  # step number of y
         while done < steps:
             count = min(batch, steps - done)
@@ -273,21 +264,20 @@ def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float
             x0 = x[0]
             mag = np.maximum(x.max(axis=0) - x0, x0 - x.min(axis=0))
             if mag.max() > abs(peak):
-                # the earliest row, then the lowest block-order agent among its maxima
+                # the earliest row, then the first vehicle among its maxima
                 i = int(np.argmax(mag.T))
                 c, j = divmod(i, _BLOCK_STEPS)
                 row = col_states[j + 1, c]
                 dev = row[::2] - row[0]
-                ties = np.flatnonzero(np.abs(dev) == mag[j, c])
-                v = ties[np.argmin(agent[ties])]
-                peak, peak_t, peak_agent = dev[v], (done + 1 + i) * dt, int(agent[v])
+                v = int(np.argmax(np.abs(dev)))
+                peak, peak_t, peak_agent = dev[v], (done + 1 + i) * dt, v
 
             first = done // stride + 1  # the first stored row past y
             ks = np.arange(first * stride, done + count + 1, stride)
             c, j = np.divmod(ks - done - 1, _BLOCK_STEPS)
-            # in block order; a batch that stores no row gathers nothing
-            states[first:first + len(ks)] = padded_rows[((j + 1) * _COLUMNS + c)[:, None],
-                                                        from_padded]
+            # de-interleaved; a batch that stores no row gathers nothing
+            picked = col_states[j + 1, c].reshape(-1, n_agents, 2)
+            states[first:first + len(ks)] = picked.transpose(0, 2, 1)
 
             c, j = divmod(count - 1, _BLOCK_STEPS)
             y = col_states[j + 1, c]
@@ -295,7 +285,7 @@ def _run(spec: FlockSpec, n: int, bc: BoundaryCondition, t_max: float, dt: float
 
     return Trajectory(
         times=times,
-        states=states,
+        states=states.reshape(stored, dim),
         bc=BoundaryCondition(bc),
         peak_deviation=float(peak),
         peak_time=peak_t,

@@ -65,6 +65,24 @@ def random_spec(rng: np.random.Generator, arrangement: Arrangement):
     return random_diatomic(rng)
 
 
+def one_type_spellings(rng: np.random.Generator, symmetric: bool = False):
+    """One random one-type stencil at offsets +-1, written two ways: three
+    identical agents of three types, and two identical agents of two types
+    with rho at +-2 zero.  At 3 n = 2 n' cells per type they are the same
+    vehicles.  ``symmetric`` puts both position weights at -1/2, so the
+    first moment vanishes."""
+    rx = -0.5 if symmetric else float(rng.uniform(-1.5, 0.5))
+    rv = float(rng.uniform(-1.5, 0.5))
+    g_x, g_v = (-float(rng.uniform(0.2, 2.0)) for _ in range(2))
+
+    def agent(far):
+        return AgentParams(g_x=g_x, g_v=g_v, rho_x={1: rx, -1: -1.0 - rx, **far},
+                           rho_v={1: rv, -1: -1.0 - rv, **far})
+
+    return (build_spec(Arrangement.TRIATOMIC_NN, [agent({})] * 3),
+            build_spec(Arrangement.DIATOMIC_NNN, [agent({2: 0.0, -2: 0.0})] * 2))
+
+
 def random_symmetric(rng: np.random.Generator, arrangement: Arrangement):
     """Spec with fully symmetric weights (all betas zero), negative gains."""
     agents = []

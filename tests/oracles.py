@@ -56,6 +56,19 @@ def alphas_betas(spec: FlockSpec) -> AlphaBeta:
                      alpha_v=combine(rho_v, 1.0))
 
 
+def type_blocks(m: np.ndarray, t: int, n: int) -> np.ndarray:
+    """The [positions; velocities] matrix m of t * n vehicles in line order,
+    permuted into type blocks: vehicle k (type k mod t, cell k // t) moves to
+    (k mod t) n + k // t of each half, so each half holds n cells of type 0,
+    then n of type 1, and so on."""
+    k = np.arange(t * n)
+    half = (k % t) * n + k // t
+    block = np.r_[half, t * n + half]
+    out = np.empty_like(m)
+    out[np.ix_(block, block)] = m
+    return out
+
+
 def E_func(a: float, b: float, c: float, d: float) -> float:
     """ab(1 + c + cd)."""
     return a * b * (1.0 + c + c * d)

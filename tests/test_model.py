@@ -18,7 +18,7 @@ from flockstab import (
     build_spec,
 )
 from conftest import random_diatomic, random_triatomic
-from oracles import alphas_betas
+from oracles import alphas_betas, type_blocks
 
 # dyadic rationals keep every intermediate sum exactly representable,
 # so identities that hold in exact arithmetic hold bit-for-bit
@@ -138,15 +138,6 @@ def test_alpha_beta_roundtrip_exact_diatomic(r1, r2, rm2):
 
 # --- periodic assembly -------------------------------------------------------
 
-def test_block_index():
-    # vehicle k has type k mod t and cell k // t; states are type blocks of n
-    t, n = 3, 4
-    assert fs.model._block_index(0, t, n) == 0  # type 1, cell 1
-    assert fs.model._block_index(9, t, n) == 3  # type 1, cell 4
-    assert fs.model._block_index(1, t, n) == 4  # type 2, cell 1
-    assert fs.model._block_index(11, t, n) == 11  # type 3, cell 4
-
-
 def test_periodic_triatomic_small(fig1):
     m = assemble_periodic(fig1, 3).entries
     assert m.shape == (18, 18)
@@ -168,7 +159,7 @@ def _roll_matrix(n, k):
 
 def test_periodic_diatomic_circulant_blocks(fig3):
     n = 4
-    m = assemble_periodic(fig3, n).entries
+    m = type_blocks(assemble_periodic(fig3, n).entries, 2, n)
     p_plus, p_minus = _roll_matrix(n, 1), _roll_matrix(n, -1)
     eye = np.eye(n)
     a1, a2 = fig3.agents
@@ -241,8 +232,8 @@ def test_line_interior_matches_periodic(fig1, fig3, bc):
     for spec in (fig1, fig3):
         n = 5
         t = spec.n_types
-        per = assemble_periodic(spec, n).entries
-        lin = assemble_line(spec, n, bc).entries
+        per = type_blocks(assemble_periodic(spec, n).entries, t, n)
+        lin = type_blocks(assemble_line(spec, n, bc).entries, t, n)
         if t == 3:
             modified = {3 * n, 6 * n - 1}
         else:
@@ -256,7 +247,7 @@ def test_line_interior_matches_periodic(fig1, fig3, bc):
 def test_line_triatomic_type_one_tail_row(fig1):
     n = 3
     g3 = fig1.agents[2]
-    m = assemble_line(fig1, n, BoundaryCondition.TYPE_I).entries
+    m = type_blocks(assemble_line(fig1, n, BoundaryCondition.TYPE_I).entries, 3, n)
     row = m[6 * n - 1]
     expected = np.zeros(6 * n)
     expected[3 * n - 1] = -g3.g_x * g3.rho_x[-1]     # own position
@@ -270,7 +261,7 @@ def test_line_triatomic_type_one_tail_row(fig1):
 def test_line_triatomic_type_two_tail_row(fig1):
     n = 3
     g3 = fig1.agents[2]
-    m = assemble_line(fig1, n, BoundaryCondition.TYPE_II).entries
+    m = type_blocks(assemble_line(fig1, n, BoundaryCondition.TYPE_II).entries, 3, n)
     row = m[6 * n - 1]
     expected = np.zeros(6 * n)
     expected[3 * n - 1] = g3.g_x
@@ -283,7 +274,7 @@ def test_line_triatomic_type_two_tail_row(fig1):
 def test_line_diatomic_boundary_rows(fig3):
     n = 4
     a1, a2 = fig3.agents
-    m = assemble_line(fig3, n, BoundaryCondition.TYPE_I).entries
+    m = type_blocks(assemble_line(fig3, n, BoundaryCondition.TYPE_I).entries, 2, n)
 
     # type 1 cell n drops its +2 coupling into the central coefficient
     row = m[2 * n + n - 1]
@@ -302,7 +293,7 @@ def test_line_diatomic_boundary_rows(fig3):
     assert row[n - 1] == pytest.approx(a2.g_x * a2.rho_x[-1], abs=1e-15)
     assert row[2 * n - 2] == pytest.approx(a2.g_x * a2.rho_x[-2], abs=1e-15)
 
-    m2 = assemble_line(fig3, n, BoundaryCondition.TYPE_II).entries
+    m2 = type_blocks(assemble_line(fig3, n, BoundaryCondition.TYPE_II).entries, 2, n)
     row = m2[4 * n - 1]
     assert row[2 * n - 1] == pytest.approx(a2.g_x, abs=1e-15)
     assert row[n - 1] == pytest.approx(a2.g_x * (a2.rho_x[1] + a2.rho_x[-1]), abs=1e-15)

@@ -329,12 +329,25 @@ def test_svg_bytes_match_per_point_writer(series):
 
 
 def test_trajectory_svg_bytes_match_per_point_writer(monkeypatch):
-    # N = 42 > 40 agents, so every second agent is drawn
+    # N = 42 > 40 vehicles, so 40 of them are drawn
     traj = simulate(figure1(), 14, BoundaryCondition.TYPE_I, t_max=30.0, dt=0.05)
     svg = reports.trajectory_svg(traj)
     monkeypatch.setattr(reports, "render_plot", _per_point_render_plot)
     assert svg.encode() == reports.trajectory_svg(traj).encode()
-    assert svg.count("<polyline") == 21
+    assert svg.count("<polyline") == 40
+
+
+@pytest.mark.parametrize("n", [3, 13, 60])
+def test_trajectory_svg_draws_the_leader_and_the_last_vehicle(monkeypatch, n):
+    # at n = 60 (N = 180, as figures 1 and 2) the last vehicle holds the published peak
+    traj = simulate(figure1(), n, BoundaryCondition.TYPE_I, t_max=2.0)
+    drawn = []
+    monkeypatch.setattr(reports, "render_plot", lambda series, *_, **__: drawn.extend(series))
+    reports.trajectory_svg(traj)
+    dev = traj.deviations()
+    assert len(drawn) == min(3 * n, 40)
+    assert np.array_equal(drawn[0].y, dev[:, 0])
+    assert np.array_equal(drawn[-1].y, dev[:, -1])
 
 
 def _percent_points(x, y, head, mid, tail):

@@ -19,10 +19,10 @@ from flockstab import (
 )
 from flockstab.figures import figure1, figure2, figure3, figure3c
 from flockstab import simulation
-from flockstab.model import _block_index, assemble_line
+from flockstab.model import assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
                                   _column_start_matrix, _line_band, _run, _step_matrix,
-                                  _vehicle_order, default_horizon)
+                                  default_horizon)
 from conftest import random_diatomic, random_spec, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -151,23 +151,11 @@ def test_extremum_ties_go_to_the_first_agent(steps):
     _assert_matches_reference(_uncoupled_spec(), 4, BC1, steps, 0.01, y0)
 
 
-@pytest.mark.parametrize("steps", [_BATCH + 7, _LAST_COLUMN_PARTIAL])
-def test_extremum_ties_go_to_the_first_block_agent(steps):
-    # block agents 1 and n are vehicles 3 and 1: vehicle order meets agent n
-    # first, and the tie must still go to agent 1
-    n = 4
-    y0 = np.zeros(24)
-    y0[12 + 1], y0[12 + n] = -1.0, 1.0
-    assert _vehicle_order(3, n)[[2, 6]].tolist() == [n, 1]
-    traj = _run(_uncoupled_spec(), n, BC1, 5.0, 0.01, True, y0)
-    assert traj.peak_agent == 1
-    assert traj.peak_deviation == pytest.approx(-5.0)
-    _assert_matches_reference(_uncoupled_spec(), n, BC1, steps, 0.01, y0)
-
-
 def _dense_line(spec, n, bc):
-    """The dense oracle of M in vehicle order: the block-order line matrix, permuted."""
-    order = _vehicle_order(spec.n_types, n)
+    """The dense oracle of M in the band's order x_0, v_0, x_1, v_1, ...: the
+    [positions; velocities] line matrix, permuted."""
+    dim = 2 * spec.n_types * n
+    order = np.arange(dim).reshape(2, dim // 2).T.ravel()
     return assemble_line(spec, n, bc).entries[np.ix_(order, order)]
 
 
@@ -282,7 +270,7 @@ def test_flushing_q_moves_only_values_near_underflow(make, n, t_max, monkeypatch
 
 
 # hashes P, Q and the run of the figure 2b lines at N = 90 and 150, where dense
-# block-order products rounded differently per thread count, and of a dim-1998
+# products rounded differently per thread count, and of a dim-1998
 # line; P and Q are the ones simulate builds, kept as they are returned
 _THREAD_PROBE = """
 import hashlib
@@ -465,7 +453,7 @@ def test_nan_first_step_from_a_finite_start_is_a_blowup(fig1):
     # a row of the first step meets +inf and -inf products and sums them to nan,
     # which only the guard's not-finite test catches
     y0 = np.zeros(60)
-    y0[[_block_index(15, 3, 10), _block_index(16, 3, 10)]] = 1e300
+    y0[[15, 16]] = 1e300
     with pytest.raises(BlowUp) as err:
         _run(fig1, 10, BC1, 1e4, 1e3, True, y0)
     assert err.value.time == 1e3
@@ -479,7 +467,7 @@ def test_simulate_refuses_fewer_than_three_cells(fig1, n):
 
 
 # (spec, bc, n, simulate's peak deviation, time and agent at the default horizon,
-#  scan sizes and magnitudes), as the dense block-order assembly gave them
+#  scan sizes and magnitudes), as the dense assembly gave them
 _UNASSEMBLED_RUNS = [
     (figure1, BC1, 10, (-32.814010525797, 42.01, 29),
      [30, 36], [-32.814010525797, -40.12982639933912]),
