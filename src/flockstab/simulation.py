@@ -8,11 +8,13 @@ extremal value over all vehicles and times is the transient magnitude.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import model
 from .errors import BlowUp, SizeError
 from .model import BoundaryCondition, FlockSpec, _stencil, check_budget
 
@@ -340,6 +342,14 @@ def default_horizon(n_total: int) -> float:
     return 3.0 * n_total
 
 
+def _scan_workers(sizes: list[int]) -> int:
+    """Runs of these flock sizes that :func:`scan_N` holds at once: 2, or 1 on a
+    one-core host or when the two largest runs' dense arrays (each
+    ``_DENSE_ARRAYS`` dim x dim, dim = 2 N) together exceed the budget of one."""
+    dense = sum(_DENSE_ARRAYS * (2 * n_total) ** 2 * 8 for n_total in sorted(sizes)[-2:])
+    return 2 if (os.cpu_count() or 1) > 1 and dense <= model._MAX_BYTES else 1
+
+
 def scan_N(
     spec: FlockSpec,
     bc: BoundaryCondition,
@@ -360,6 +370,13 @@ def scan_N(
     the t = 0 row.  So a run is refused with :func:`simulate`'s
     ``ValueError`` over 1e8 steps or over the dense operators' 2 GiB budget
     (N above 4728 for three types), never for its stored states.
+
+    The runs go two at a time on threads, largest N first, each with the
+    bits it has alone; a repeated N runs once, and the points follow
+    ``N_values``.  A refusal is the serial loop's: that of the first refused
+    N in list order.  The runs go one at a time on a one-core host, or when
+    the two largest runs' dense arrays together exceed the 2 GiB budget of
+    one (two N near 3345 do), so a scan never holds more than one run may.
     """
     if len(N_values) == 0:
         raise SizeError("N_values is empty; give at least one flock size")
@@ -377,7 +394,17 @@ def scan_N(
         log_mag = float(np.log(abs(mag))) if mag != 0.0 else None
         return ScanPoint(n_total, mag, log_mag)
 
-    points = tuple(run(n_total) for n_total in N_values)
+    # imported here, so that a command which runs no scan does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = sorted(set(N_values), reverse=True)
+    pool = ThreadPoolExecutor(_scan_workers(sizes))
+    try:
+        runs = {n_total: pool.submit(run, n_total) for n_total in sizes}
+        points = tuple(runs[n_total].result() for n_total in N_values)
+    finally:
+        # after a refusal, the sizes not yet started never start
+        pool.shutdown(cancel_futures=True)
 
     usable = [(p.N, p.log_abs_magnitude) for p in points if not p.censored]
     if len(usable) < 2:

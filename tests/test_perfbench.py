@@ -6,7 +6,7 @@ from pathlib import Path
 
 import flockstab as fs
 from flockstab import cli
-from flockstab.figures import figure1
+from flockstab.figures import figure1, figure2
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -43,3 +43,26 @@ def test_tracer_installed_after_a_first_command_sees_the_next(tmp_path, capsys):
     command = names.index("cli.cmd_check")
     assert [name for name, _, _, parent, _ in tracer.spans if parent == command] == [
         "conditions.conditions"]
+
+
+def test_traced_scan_keeps_every_span_on_one_stack(tmp_path):
+    # the scan's runs go on worker threads, through the untraced _run only: each
+    # span closes inside its parent, and no simulation span nests in scan_N
+    path = tmp_path / "fig2.json"
+    fs.save_spec(figure2(), path)
+    module = _spans_module()
+    tracer = module.Tracer()
+    with tracer.installed():
+        assert cli.main(["scan", "--spec", str(path), "--N-list", "24,12,36",
+                         "--out", str(tmp_path / "scan")]) == 0
+    spans = tracer.spans
+    assert tracer._stack == []
+    assert None not in spans
+    for idx, (_, start, end, parent, _) in enumerate(spans):
+        assert -1 <= parent < idx
+        if parent >= 0:
+            assert spans[parent][1] <= start <= end <= spans[parent][2]
+    names = [span[0] for span in spans]
+    assert names.count("simulation.scan_N") == 1
+    assert [name for idx, name in enumerate(names) if name.startswith("simulation.")
+            and module.has_ancestor(spans, idx, "simulation.scan_N")] == []

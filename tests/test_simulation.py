@@ -1,6 +1,9 @@
 import os
+import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from types import ModuleType
 
@@ -18,11 +21,11 @@ from flockstab import (
     transient,
 )
 from flockstab.figures import figure1, figure2, figure3, figure3c
-from flockstab import simulation
+from flockstab import model, simulation
 from flockstab.model import assemble_line
 from flockstab.simulation import (_BLOCK_STEPS, _COLUMNS, BLOWUP_GUARD, STORE_SPACING, _Band,
-                                  _column_start_matrix, _line_band, _run, _step_matrix,
-                                  default_horizon)
+                                  _column_start_matrix, _line_band, _run, _scan_workers,
+                                  _step_matrix, default_horizon)
 from conftest import random_diatomic, random_spec, random_triatomic
 
 BC1, BC2 = BoundaryCondition.TYPE_I, BoundaryCondition.TYPE_II
@@ -271,13 +274,24 @@ def test_flushing_q_moves_only_values_near_underflow(make, n, t_max, monkeypatch
 
 # hashes P, Q and the run of the figure 2b lines at N = 90 and 150, where dense
 # products rounded differently per thread count, and of a dim-1998
-# line; P and Q are the ones simulate builds, kept as they are returned
+# line; P and Q are the ones simulate builds, kept as they are returned.  First
+# it hashes the scan.csv of a figure 2 scan over N = 90, 30 and 150, whose runs
+# go two at a time: at two BLAS threads, two Python threads call OpenBLAS at once
 _THREAD_PROBE = """
 import hashlib
+import os
+import tempfile
 import numpy as np
-from flockstab import simulation
+from flockstab import reports, simulation
 from flockstab.figures import figure2
 from flockstab.model import BoundaryCondition
+
+scan = simulation.scan_N(figure2(), BoundaryCondition.TYPE_I, [90, 30, 150])
+with tempfile.TemporaryDirectory() as out:
+    path = os.path.join(out, "scan.csv")
+    reports.write_scan_csv(path, scan)
+    with open(path, "rb") as fh:
+        print("scan", hashlib.sha256(fh.read()).hexdigest())
 
 built = []
 for name in ("_step_matrix", "_column_start_matrix"):
@@ -301,7 +315,7 @@ def test_bytes_do_not_depend_on_the_blas_thread_count():
                               text=True) for threads in ("1", "2")]
     runs = [proc.communicate()[0] for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
-    assert len(runs[0].splitlines()) == 3
+    assert len(runs[0].splitlines()) == 4
     assert runs[0] == runs[1]
 
 def test_guard_crossing_in_padding_is_not_a_blowup():
@@ -666,3 +680,95 @@ def test_scan_slope_for_growing_transients(fig2):
     result = scan_N(fig2, BC1, [15, 30, 45], dt=0.02)
     assert result.slope > 0.0
     assert 0.0 < result.r_squared <= 1.0
+
+
+# --- scans two runs at a time ------------------------------------------------
+
+def _counting_run(calls=None, barrier=None):
+    """_run that records each call's N and the most calls active at once; with a
+    barrier, the first two calls each wait there for the other."""
+    lock = threading.Lock()
+    state = {"active": 0, "most": 0, "started": 0}
+
+    def counted(spec, n, *args, **kwargs):
+        with lock:
+            state["active"] += 1
+            state["most"] = max(state["most"], state["active"])
+            state["started"] += 1
+            first_two = state["started"] <= 2
+            if calls is not None:
+                calls.append(spec.n_types * n)
+        try:
+            if barrier is not None and first_two:
+                barrier.wait()
+            return _run(spec, n, *args, **kwargs)
+        finally:
+            with lock:
+                state["active"] -= 1
+
+    return counted, state
+
+
+def test_scan_points_follow_the_list_and_a_repeat_runs_once(fig2, monkeypatch):
+    sizes = [24, 12, 36, 24, 15]
+    calls = []
+    counted, _ = _counting_run(calls)
+    monkeypatch.setattr(simulation, "_run", counted)
+    result = scan_N(fig2, BC1, sizes)
+    assert sorted(calls) == [12, 15, 24, 36]
+    assert [p.N for p in result.points] == sizes
+    monkeypatch.undo()
+    for p in result.points:
+        assert p == scan_N(fig2, BC1, [p.N]).points[0]
+
+
+@pytest.mark.parametrize("sizes, steps", [([45, 60], "1.35e+08"), ([60, 45], "1.8e+08")],
+                         ids=["smaller-first", "larger-first"])
+def test_scan_raises_the_first_refusal_in_list_order(fig1, monkeypatch, sizes, steps):
+    # at dt = 1e-6 the default horizons of N = 45 and 60 take 1.35e8 and 1.8e8
+    # steps, each refused with its own count; the first listed is held back, so
+    # the other is refused first
+    def late_first(spec, n, *args, **kwargs):
+        if spec.n_types * n == sizes[0]:
+            time.sleep(0.2)
+        return _run(spec, n, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_run", late_first)
+    with pytest.raises(ValueError, match=f"^t_max / dt = {re.escape(steps)} RK4 steps, "):
+        scan_N(fig1, BC1, sizes, dt=1e-6)
+
+
+def test_scan_runs_two_at_a_time(fig1, monkeypatch):
+    # each of the first two runs waits for the other: one run at a time would
+    # break the barrier
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    counted, state = _counting_run(barrier=threading.Barrier(2, timeout=10))
+    monkeypatch.setattr(simulation, "_run", counted)
+    scan_N(fig1, BC1, [30, 45, 36])
+    assert state["most"] == 2
+
+
+def test_scan_runs_one_at_a_time_when_two_runs_exceed_the_budget(fig1, monkeypatch):
+    # dense arrays of N = 45 and 36 take 194400 and 124416 bytes: each run fits
+    # a budget of 200000 alone, the two largest together do not
+    monkeypatch.setattr(model, "_MAX_BYTES", 200_000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    counted, state = _counting_run()
+    monkeypatch.setattr(simulation, "_run", counted)
+    result = scan_N(fig1, BC1, [30, 45, 36])
+    assert state == {"active": 0, "most": 1, "started": 3}
+    assert all(p.magnitude is not None for p in result.points)
+
+
+def test_scan_workers_at_the_default_budget(monkeypatch):
+    # three dense (2 N)^2 arrays per run, both runs within 2 GiB: N = 3342 and 3345
+    # take 2146366944 bytes, 3345 and 3348 take 2150220384; the largest run
+    # that fits, N = 4728, still fits beside N = 30
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _scan_workers([3345, 30, 3342]) == 2
+    assert _scan_workers([3345, 30, 3348]) == 1
+    assert _scan_workers([30, 4728]) == 2
+    assert _scan_workers([4728, 4725]) == 1
+    for cores in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert _scan_workers([30, 60]) == 1
