@@ -156,26 +156,38 @@ def _cells(x):
 
 
 def _row_cells(block):
-    """A block's rows as cells of separators and text, with the masks of the
-    bytes kept and of the values left to ``%``.  Strings are copied as they
-    are; every number of the block goes through one :func:`_cells` call."""
+    """A block's rows as cells of separators and text, with the mask of the
+    bytes kept; and, in order, where the cell of each value left to ``%``
+    starts in the rows laid end to end, and that value.  Strings are copied
+    as they are; every number of the block goes through one :func:`_cells`
+    call."""
     rows = len(block[0])
     numbers = [c.reshape(rows, -1) for c in block if c.dtype.kind != "U"] or [np.empty((rows, 0))]
-    formatted = _cells(numbers[0] if len(numbers) == 1 else np.concatenate(numbers, axis=1))
-    grids = [g.reshape(rows, -1, *g.shape[1:]) for g in formatted]  # row, value, byte
-    parts, at = [], 0
+    values = numbers[0] if len(numbers) == 1 else np.concatenate(numbers, axis=1)
+    formatted = _cells(values)
+    grids = [g.reshape(rows, -1, 32) for g in formatted[:2]]  # row, value, byte
+    parts, starts, at, width = [], [], 0, 0
     for text, run in itertools.groupby(block, key=lambda c: c.dtype.kind == "U"):
         if text:
             for column in run:
                 raw = column.astype(bytes)
                 cells = np.full((rows, raw.itemsize + 1), 44, np.uint8)
                 cells[:, 1:] = raw.view(np.uint8).reshape(rows, -1)
-                parts.append((cells, cells != 0, np.zeros((rows, 1), bool)))
+                parts.append((cells, cells != 0))
+                width += cells.shape[1]
         else:  # adjacent number columns stay one slice
-            width = sum(c[0].size for c in run)
-            parts.append([g[:, at:at + width].reshape(rows, -1) for g in grids])
-            at += width
-    return parts[0] if len(parts) == 1 else [np.concatenate(p, axis=1) for p in zip(*parts)]
+            count = sum(c[0].size for c in run)
+            parts.append([g[:, at:at + count].reshape(rows, -1) for g in grids])
+            starts.append(width + 32 * np.arange(count))
+            at += count
+            width += 32 * count
+    cells, keep = parts[0] if len(parts) == 1 else [np.concatenate(p, axis=1) for p in zip(*parts)]
+    slow = formatted[2]
+    if not slow.any():  # most blocks
+        return cells, keep, [], []
+    row, value = np.divmod(np.flatnonzero(slow), values.shape[1])
+    offsets = row * width + np.concatenate(starts)[value]
+    return cells, keep, offsets.tolist(), np.ravel(values)[slow].tolist()
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
@@ -184,24 +196,22 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     A column is a 1-D array, or a 2-D array of adjacent columns.  Strings
     are copied as they are, and every other value is printed as a float,
     byte for byte as ``"%.17g" % x``: array-wise, in blocks of about
-    ``_BLOCK`` values, except for the rows that hold a value :func:`_cells`
-    leaves to ``%``.
+    ``_BLOCK`` values, except for the values :func:`_cells` leaves to ``%``,
+    which are printed one by one into the cells around them.
     """
     columns = list(map(np.asarray, columns))
     step = max(1, _BLOCK // sum(math.prod(c.shape[1:]) for c in columns))
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode())
         for r0 in range(0, len(columns[0]), step):
-            block = [c[r0:r0 + step] for c in columns]
-            cells, keep, slow = _row_cells(block)
+            cells, keep, offsets, slow = _row_cells([c[r0:r0 + step] for c in columns])
             cells[:, 0] = 10  # each row ends the line before it
+            cells, keep = cells.ravel(), keep.ravel()
             start = 0
-            for r in np.flatnonzero(slow.any(axis=1)):
-                fh.write(cells[start:r][keep[start:r]].tobytes())
-                fh.write(("\n" + ",".join(c[r] if c.dtype.kind == "U" else
-                                          ",".join(map("%.17g".__mod__, np.ravel(c[r])))
-                                          for c in block)).encode())
-                start = r + 1
+            for at, x in zip(offsets, slow):
+                fh.write(cells[start:at + 1][keep[start:at + 1]].tobytes())  # to its separator
+                fh.write(b"%.17g" % x)
+                start = at + 32
             fh.write(cells[start:][keep[start:]].tobytes())
         fh.write(b"\n")
 

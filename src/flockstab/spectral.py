@@ -15,9 +15,14 @@ that ``check`` and ``rootcurves`` share.  No arrangement has a formula
 of its own here: the paper's closed forms for a_0, a_0'(0), a_2(0) and
 a_3(0) live in the test suite (``tests/oracles.py``) as independent
 checks of this one construction.  The spectrum is one array-backed
-:class:`Spectrum`, row m for mode phis[m]; :func:`mode_roots`, the only
-root finder, solves modes m <= n/2 from a stack of companion matrices,
-and the rows above them are their conjugates.
+:class:`Spectrum`, row m for mode phis[m].  Modes m <= n/2 are solved
+and the rows above them are their conjugates.  :func:`mode_roots` solves
+modes from a stack of companion matrices, as ``numpy.roots`` does; a
+spectrum of 64 or more solved modes solves only every 8th that way and
+polishes the rest from their neighbours by Aberth-Ehrlich steps (Aberth,
+"Iteration methods for finding all zeros of a polynomial
+simultaneously"; Bini, "Numerical computation of polynomial zeros by
+means of Aberth's method").
 
 Linear stability means the only eigenvalue on the closed right half-plane
 is the double zero at phi = 0 (the rigid in-formation motion) with a
@@ -46,12 +51,17 @@ CLASSIFY_TOL = 1e-9
 
 _ZERO_EIGENVALUE_SCALE = 1e-8
 
-#: ulps of its size within which a jet value is roundoff
+#: ulps of its size within which a jet value is roundoff, and within which
+#: a polished root's last step must stay
 _ULPS = 8
 
 #: bytes per root the spectrum command holds at its peak, its CSV included
 #: (1.85 KB per mode of six roots at n = 1e5 under tracemalloc)
 _BYTES_PER_ROOT = 320
+
+#: a spectrum of at least _WARM_ROWS solved modes solves every _COARSE-th
+#: by companion matrix and polishes the rest by _STEPS Aberth-Ehrlich steps
+_WARM_ROWS, _COARSE, _STEPS = 64, 8, 4
 
 
 @dataclass(frozen=True)
@@ -210,7 +220,9 @@ def mode_roots(phis, coeffs) -> Spectrum:
     zero low coefficients give k exact zero roots, the rest are the
     eigenvalues of the degree-(d - k) companion matrix, backward-stable
     roots (Edelman & Murakami).  A scalar angle with one coefficient
-    vector gives a one-row spectrum.
+    vector gives a one-row spectrum.  :class:`DegenerateLeadingCoefficient`
+    can fire only for coefficients passed in by hand: every mode polynomial
+    has a_d = (-1)^t exactly.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
@@ -230,24 +242,73 @@ def mode_roots(phis, coeffs) -> Spectrum:
         companion[:, 1:, :-1] = np.eye(d - k - 1)
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         roots[rows, : d - k] = np.linalg.eigvals(companion)
+    return _sorted_spectrum(phis, coeffs, roots)
+
+
+def _sorted_spectrum(phis, coeffs, roots) -> Spectrum:
+    """The spectrum of each row's roots, sorted, with Horner residuals."""
     order = np.lexsort((-roots.imag, -roots.real), axis=-1)
     roots = np.take_along_axis(roots, order, axis=-1)
     value = coeffs[:, -1:] + roots * 0  # Horner's rule, in numpy polyval's order
-    for i in range(2, d + 2):
+    for i in range(2, coeffs.shape[1] + 1):
         value = coeffs[:, -i, None] + value * roots
-    return Spectrum(phis, roots, np.abs(value), scale)
+    return Spectrum(phis, roots, np.abs(value), np.abs(coeffs).max(axis=1))
+
+
+def _warm_mode_roots(phis, coeffs) -> Spectrum:
+    """:func:`mode_roots` with every _COARSE-th row and the last solved by
+    it, and every other row polished from its nearest such row's roots.
+
+    The polish is _STEPS Aberth-Ehrlich steps on all those rows at once:
+    z_i -= N_i / (1 - N_i sum_{j != i} 1 / (z_i - z_j)), N_i = p(z_i) / p'(z_i).
+    A row whose last step moved some root by more than _ULPS ulps of it,
+    or that has a_0 = 0 (exact zero roots), goes back to :func:`mode_roots`.
+    Neighbouring modes have nearly equal roots, so 4 steps converge on all
+    but a few rows; below 64 rows the share that falls back (18% at 32)
+    costs more than the steps save.
+    """
+    h, d = len(coeffs), coeffs.shape[1] - 1
+    rows = np.arange(h)
+    solved = (rows % _COARSE == 0) | (rows == h - 1)
+    roots = np.empty((h, d), dtype=complex)
+    roots[solved] = mode_roots(phis[solved], coeffs[solved]).eigenvalues
+    warm = rows[~solved]
+    a, z = coeffs[warm], roots[np.minimum((warm + _COARSE // 2) // _COARSE * _COARSE, h - 1)]
+    step = np.full(z.shape, np.inf)
+    with np.errstate(all="ignore"):  # a repeated starting root gives nan: the row falls back
+        for _ in range(_STEPS):
+            p, dp = a[:, -1:] + 0 * z, 0 * z
+            for k in range(d - 1, -1, -1):  # p and p' by one Horner pass
+                dp = dp * z + p
+                p = p * z + a[:, k, None]
+            repel = np.zeros(z.shape, dtype=complex)
+            for j in range(d):
+                inverse = 1 / (z - z[:, j, None])
+                inverse[:, j] = 0
+                repel += inverse
+            newton = p / dp
+            step = newton / (1 - newton * repel)
+            z = z - step
+    roots[warm] = z
+    converged = (np.abs(step) <= _ULPS * np.spacing(np.abs(z))).all(axis=1)
+    redo = warm[~converged | (a[:, 0] == 0)]
+    roots[redo] = mode_roots(phis[redo], coeffs[redo]).eigenvalues
+    return _sorted_spectrum(phis, coeffs, roots)
 
 
 def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
     """Spectrum of all n Fourier modes of the circle system, in mode order.
 
     Every weight is real, so mode n - m is the complex conjugate of mode
-    m.  One :func:`mode_roots` call solves modes 0..n//2; each row n - m
-    above them holds the conjugates of row m, re-sorted by the same rule,
-    with row m's residuals and coefficient scale, so modes m and n - m
-    are exact conjugates.  An exact zero root keeps a +0.0 imaginary part
-    in both rows.  An n over the 2 GiB budget (about 1.1e6 for three
-    types) raises ``ValueError`` before anything is allocated.
+    m.  Modes 0..n//2 are solved: by one :func:`mode_roots` call when
+    they are fewer than _WARM_ROWS, and otherwise by
+    :func:`_warm_mode_roots`, whose polished rows agree with
+    ``numpy.roots`` to roundoff, not to the bit.  Each row n - m above
+    them holds the conjugates of row m, re-sorted by the same rule, with
+    row m's residuals and coefficient scale, so modes m and n - m are
+    exact conjugates.  An exact zero root keeps a +0.0 imaginary part in
+    both rows.  An n over the 2 GiB budget (about 1.1e6 for three types)
+    raises ``ValueError`` before anything is allocated.
     """
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
@@ -255,7 +316,8 @@ def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
     check_budget(f"{n} modes of {d} roots", n * d * _BYTES_PER_ROOT)
     phis = 2.0 * np.pi * np.arange(n) / n
     h = n // 2 + 1
-    half = mode_roots(phis[:h], mode_polynomial(spec).coeffs(phis[:h]))
+    coeffs = mode_polynomial(spec).coeffs(phis[:h])
+    half = (mode_roots if h < _WARM_ROWS else _warm_mode_roots)(phis[:h], coeffs)
     eigenvalues = np.empty((n, half.eigenvalues.shape[1]), dtype=complex)
     residuals = np.empty(eigenvalues.shape)
     coeff_scale = np.empty(n)

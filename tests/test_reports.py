@@ -11,7 +11,7 @@ import flockstab as fs
 from flockstab import (Arrangement, BlowUp, BoundaryCondition, build_spec, classify,
                        mode_roots, reports, scan_N, simulate, spectrum_periodic, transient)
 from flockstab.cli import main
-from flockstab.figures import FIGURE_RUNS, figure1, figure2
+from flockstab.figures import FIGURE_RUNS, figure1, figure2, figure3
 from flockstab.reports import (write_csv, write_rootcurves_csv, write_scan_csv,
                                write_spectrum_csv, write_trajectory_csv)
 from flockstab.rootcurves import (Branch, RootCurve, orthogonality_angle, right_angle_deviation,
@@ -210,6 +210,26 @@ def test_write_csv_block_edges(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
+@pytest.mark.parametrize("block", [16, reports._BLOCK])
+def test_write_csv_prints_each_slow_value_alone(monkeypatch, tmp_path, block):
+    # 5 values a row, so 3 rows a block at _BLOCK = 16: slow values at the
+    # start, middle and end of rows, side by side, after the text column,
+    # filling a row, and on both sides of the edge between rows 2 and 3
+    monkeypatch.setattr(reports, "_BLOCK", block)
+    rng = np.random.default_rng(35)
+    values = rng.normal(size=(40, 5))
+    special = [np.nan, np.inf, -np.inf, 1e300, -1e-300, 5e-324, 2 ** 50 + 0.25]
+    spots = [(0, 0), (1, 2), (2, 4), (3, 0), (5, 1), (5, 2), (5, 3), (8, 1), (8, 4), (39, 4)]
+    spots += [(12, k) for k in range(5)]
+    for i, (row, column) in enumerate(spots):
+        values[row, column] = special[i % len(special)]
+    assert reports._cells(values)[2].sum() == len(spots)
+    names = np.array(["a", "", "bc"])[rng.integers(0, 3, 40)]
+    write_csv(tmp_path / "slow.csv", ["t", "name", "x"], [values[:, 0], names, values[:, 1:]])
+    assert (tmp_path / "slow.csv").read_bytes() == _percent_csv(
+        ["t", "name", "x"], [[r[0], n, *r[1:]] for r, n in zip(values.tolist(), names)])
+
+
 def test_trajectory_csv_memory_is_bounded_by_the_block(tmp_path):
     # fig1a's 4001 x 361 values print in blocks; the whole file is about 29 MB
     run = FIGURE_RUNS["fig1a"]
@@ -223,6 +243,24 @@ def test_trajectory_csv_memory_is_bounded_by_the_block(tmp_path):
         tracemalloc.stop()
     assert traj.states.shape == (4001, 360)
     assert peak <= 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("figure", [figure1, figure3])
+def test_spectrum_command_memory_is_within_its_budget(figure, tmp_path):
+    # spectrum, verdict and CSV at n = 2e4, against the bytes per root
+    # that spectrum_periodic refuses an n by
+    spec, n = figure(), 20000
+    tracemalloc.start()
+    try:
+        spectrum = spectrum_periodic(spec, n)
+        classify(spectrum)
+        write_spectrum_csv(tmp_path / "spectrum.csv", spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    roots = spectrum.eigenvalues.size
+    assert roots == n * 2 * spec.n_types
+    assert peak <= fs.spectral._BYTES_PER_ROOT * roots, peak / roots
 
 
 def _per_point_render_plot(series, title, xlabel, ylabel):

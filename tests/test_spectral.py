@@ -338,6 +338,66 @@ def test_modes_m_and_n_minus_m_conjugate(fig1):
             assert np.array_equal(a, b)
 
 
+def _all_mode_roots(spec, n):
+    """spectrum_periodic with the warm start off: every mode m <= n/2 by mode_roots."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fs.spectral, "_WARM_ROWS", float("inf"))
+        return spectrum_periodic(spec, n)
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_warm_rows_match_np_roots(n, fig1, fig2, fig3, fig3c):
+    # every root within 1e-13 of its row's largest; the worst seen on the
+    # figures, 80 random and the 40 seeded sweep specs was 2.1e-14 at
+    # n <= 2000, and 2.7e-14 on the figures and sweep specs at n = 40000
+    rng = np.random.default_rng(35)
+    specs = [random_spec(rng, arrangement) for arrangement in Arrangement for _ in range(6)]
+    h = n // 2 + 1
+    for spec in (fig1, fig2, fig3, fig3c, *specs):
+        warm, cold = spectrum_periodic(spec, n), _all_mode_roots(spec, n)
+        solved = np.r_[0:h:8, h - 1]  # by mode_roots
+        assert warm.eigenvalues[solved].tobytes() == cold.eigenvalues[solved].tobytes()
+        assert warm.coeff_scale.tobytes() == cold.coeff_scale.tobytes()
+        got = warm.eigenvalues[:h]
+        want = np.array([np.roots(c[::-1]) for c in mode_polynomial(spec).coeffs(warm.phis[:h])])
+        distance = np.abs(got[:, :, None] - want[:, None, :])  # row, warm root, np.roots root
+        # nearest root both ways: real parts equal to roundoff may sort either way
+        worst = np.maximum(distance.min(axis=2).max(axis=1), distance.min(axis=1).max(axis=1))
+        assert np.all(worst <= 1e-13 * np.abs(want).max(axis=1))
+        assert np.all(warm.residuals <= 1e-12 * warm.coeff_scale[:, None])
+        assert _verdict_tuple(classify(warm))[:2] == _verdict_tuple(classify(cold))[:2]
+
+
+def _same_spectrum(a, b):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("phis", "eigenvalues", "residuals", "coeff_scale"))
+
+
+@pytest.mark.parametrize("n", [126, 2000])
+def test_warm_rows_that_all_fall_back_give_the_mode_roots_spectrum(monkeypatch, n, fig1, fig3):
+    for spec in (fig1, fig3):
+        cold = _all_mode_roots(spec, n)
+        assert not _same_spectrum(spectrum_periodic(spec, n), cold)
+        with monkeypatch.context() as patch:
+            patch.setattr(fs.spectral, "_STEPS", 0)  # no step: no row has converged
+            assert _same_spectrum(spectrum_periodic(spec, n), cold)
+    # a_0 = 0 in every mode: each row's exact zero root comes from mode_roots
+    zero_gain = zero_gain_spec()
+    assert _same_spectrum(spectrum_periodic(zero_gain, n), _all_mode_roots(zero_gain, n))
+
+
+def test_small_spectra_never_take_the_warm_path(monkeypatch, fig1, fig3):
+    def warm(phis, coeffs):
+        raise _Solved
+
+    monkeypatch.setattr(fs.spectral, "_warm_mode_roots", warm)
+    for n in range(3, 126):  # fewer than 64 modes m <= n/2
+        for spec in (fig1, fig3):
+            spectrum_periodic(spec, n)
+    with pytest.raises(_Solved):
+        spectrum_periodic(fig1, 126)
+
+
 # --- classification ----------------------------------------------------------
 
 def _dense_nullity(spec, n):
