@@ -33,9 +33,10 @@ DEFAULT_GRID = (1e-6, 1e-1, 60)
 RATIO_BOUND = 0.05
 DECADE_JITTER = 1.10
 
-#: bytes per angle that ``rootcurves`` holds at its peak, its CSV and SVG included
-#: (1.29 KB for three types, 0.76 KB for two, at 1e5 angles under tracemalloc)
-_BYTES_PER_ANGLE = 1300
+#: bytes per angle that ``rootcurves`` holds at its peak, its CSV and SVG included:
+#: 1383 B for three types and 823 B for two at 3e4 angles, 1379 B and 819 B at
+#: 1e5, under tracemalloc, which does not see LAPACK's workspace
+_BYTES_PER_ANGLE = 1500
 
 
 class Branch(Enum):
@@ -89,7 +90,7 @@ def angle_grid(phi_min: float, phi_max: float, phi_points: int) -> np.ndarray:
     """``phi_points`` geometric angles from ``phi_min`` to ``phi_max``.
 
     Requires 0 < phi_min < phi_max < inf and at least two points.  A grid
-    over the 2 GiB budget (about 1.65e6 points) raises ``ValueError``
+    over the 2 GiB budget (about 1.43e6 points) raises ``ValueError``
     before anything is allocated.
     """
     if not 0.0 < phi_min < np.inf:

@@ -55,9 +55,10 @@ _ZERO_EIGENVALUE_SCALE = 1e-8
 #: a polished root's last step must stay
 _ULPS = 8
 
-#: bytes per root the spectrum command holds at its peak, its CSV included
-#: (1.85 KB per mode of six roots at n = 1e5 under tracemalloc)
-_BYTES_PER_ROOT = 320
+#: bytes per root the spectrum command holds at its peak, its verdict and CSV
+#: included: 114 B for three types and 118 B for two at n = 2e4, 114 B and
+#: 116 B at n = 1e5, under tracemalloc, which does not see LAPACK's workspace
+_BYTES_PER_ROOT = 160
 
 #: a spectrum of at least _WARM_ROWS solved modes solves every _COARSE-th
 #: by companion matrix and polishes the rest by _STEPS Aberth-Ehrlich steps
@@ -307,7 +308,7 @@ def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
     them holds the conjugates of row m, re-sorted by the same rule, with
     row m's residuals and coefficient scale, so modes m and n - m are
     exact conjugates.  An exact zero root keeps a +0.0 imaginary part in
-    both rows.  An n over the 2 GiB budget (about 1.1e6 for three types)
+    both rows.  An n over the 2 GiB budget (about 2.2e6 for three types)
     raises ``ValueError`` before anything is allocated.
     """
     if n < 3:

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -11,11 +14,11 @@ import flockstab as fs
 from flockstab import (Arrangement, BlowUp, BoundaryCondition, build_spec, classify,
                        mode_roots, reports, scan_N, simulate, spectrum_periodic, transient)
 from flockstab.cli import main
-from flockstab.figures import FIGURE_RUNS, figure1, figure2, figure3
+from flockstab.figures import FIGURE_RUNS, figure1, figure2, figure3, figure3c
 from flockstab.reports import (write_csv, write_rootcurves_csv, write_scan_csv,
                                write_spectrum_csv, write_trajectory_csv)
-from flockstab.rootcurves import (Branch, RootCurve, orthogonality_angle, right_angle_deviation,
-                                  tangency_report, track_branches)
+from flockstab.rootcurves import (Branch, RootCurve, angle_grid, orthogonality_angle,
+                                  right_angle_deviation, tangency_report, track_branches)
 from flockstab.simulation import ScanPoint, ScanResult, Trajectory
 from flockstab.spectral import Spectrum
 from flockstab.svg import (_HEIGHT, _MARGIN, _PALETTE, _WIDTH, Series, _cents, _limits,
@@ -230,6 +233,74 @@ def test_write_csv_prints_each_slow_value_alone(monkeypatch, tmp_path, block):
         ["t", "name", "x"], [[r[0], n, *r[1:]] for r, n in zip(values.tolist(), names)])
 
 
+def test_write_csv_keeps_the_block_order_when_threads_switch_often(monkeypatch, tmp_path):
+    # 134 blocks of 3 rows, a third of them with a value left to %, written
+    # by the worker while the next block formats, switching threads every 1 us
+    monkeypatch.setattr(reports, "_BLOCK", 16)
+    rng = np.random.default_rng(36)
+    values = rng.normal(size=(400, 5))
+    values[::9, 2] = np.nan
+    names = np.array(["a", "", "bc"])[rng.integers(0, 3, 400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        write_csv(tmp_path / "x.csv", ["t", "name", "x"], [values[:, 0], names, values[:, 1:]])
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "x.csv").read_bytes() == _percent_csv(
+        ["t", "name", "x"], [[r[0], n, *r[1:]] for r, n in zip(values.tolist(), names)])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail a write")
+def test_write_csv_raises_a_failed_write_and_leaves_no_thread():
+    # every block is over the file buffer, so the worker's first write fails
+    values = np.random.default_rng(36).normal(size=3 * reports._BLOCK)
+    threads = threading.active_count()
+    with pytest.raises(OSError):
+        write_csv("/dev/full", ["x"], [values])
+    assert threading.active_count() == threads
+
+
+def test_write_csv_raises_what_the_worker_raises(monkeypatch, tmp_path):
+    values = np.random.default_rng(36).normal(size=5 * reports._BLOCK)
+    write_block, calls = reports._write_block, []
+
+    def second_fails(*block):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        write_block(*block)
+
+    monkeypatch.setattr(reports, "_write_block", second_fails)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="second block"):
+        write_csv(tmp_path / "x.csv", ["x"], [values])
+    assert threading.active_count() == threads
+    assert len(calls) == 2 and threading.main_thread() not in calls
+
+
+def test_write_csv_raises_a_failed_block_and_leaves_the_blocks_before_it(monkeypatch, tmp_path):
+    # the third block fails to format: the first two are written, as a
+    # writer that formats and writes each block in turn leaves them
+    values = np.random.default_rng(36).normal(size=5 * reports._BLOCK)
+    cells, calls = reports._cells, []
+
+    def third_fails(x):
+        calls.append(len(x))
+        if len(calls) == 3:
+            raise RuntimeError("third block")
+        return cells(x)
+
+    monkeypatch.setattr(reports, "_cells", third_fails)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="third block"):
+        write_csv(tmp_path / "x.csv", ["x"], [values])
+    assert threading.active_count() == threads
+    assert calls == [reports._BLOCK] * 3
+    written = values[:2 * reports._BLOCK].tolist()
+    assert (tmp_path / "x.csv").read_bytes() == ("x" + "".join(map("\n%.17g".__mod__, written))).encode()
+
+
 def test_trajectory_csv_memory_is_bounded_by_the_block(tmp_path):
     # fig1a's 4001 x 361 values print in blocks; the whole file is about 29 MB
     run = FIGURE_RUNS["fig1a"]
@@ -248,7 +319,8 @@ def test_trajectory_csv_memory_is_bounded_by_the_block(tmp_path):
 @pytest.mark.parametrize("figure", [figure1, figure3])
 def test_spectrum_command_memory_is_within_its_budget(figure, tmp_path):
     # spectrum, verdict and CSV at n = 2e4, against the bytes per root
-    # that spectrum_periodic refuses an n by
+    # that spectrum_periodic refuses an n by: over half of it, so that a
+    # budget gone stale either way fails
     spec, n = figure(), 20000
     tracemalloc.start()
     try:
@@ -260,7 +332,28 @@ def test_spectrum_command_memory_is_within_its_budget(figure, tmp_path):
         tracemalloc.stop()
     roots = spectrum.eigenvalues.size
     assert roots == n * 2 * spec.n_types
-    assert peak <= fs.spectral._BYTES_PER_ROOT * roots, peak / roots
+    assert fs.spectral._BYTES_PER_ROOT / 2 < peak / roots <= fs.spectral._BYTES_PER_ROOT, \
+        peak / roots
+
+
+@pytest.mark.parametrize("points", [3000, 6000])
+@pytest.mark.parametrize("figure", [figure2, figure3c])
+def test_rootcurves_command_memory_is_within_its_budget(figure, points, tmp_path):
+    # tracked branches, SVG and CSV, against the bytes per angle that
+    # angle_grid refuses a grid by: over half of it, as above
+    spec, grid = figure(), angle_grid(1e-6, 1e-1, points)
+    reports._tables()  # built once per process
+    tracemalloc.start()
+    try:
+        plus, minus = track_branches(spec, grid)
+        svg = reports.rootcurves_svg(plus, minus)
+        write_rootcurves_csv(tmp_path / "rootcurves.csv", plus, minus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.startswith("<svg")
+    budget = fs.rootcurves._BYTES_PER_ANGLE
+    assert budget / 2 < peak / points <= budget, peak / points
 
 
 def _per_point_render_plot(series, title, xlabel, ylabel):

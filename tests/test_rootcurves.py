@@ -44,7 +44,7 @@ def test_angle_grid_over_the_budget_is_refused_before_allocation(monkeypatch):
         raise AssertionError("allocated a grid over the budget")
 
     monkeypatch.setattr(np, "geomspace", allocated)
-    with pytest.raises(ValueError, match=r"^300000000 angles take 390000000000 bytes, "
+    with pytest.raises(ValueError, match=r"^300000000 angles take 450000000000 bytes, "
                                          r"over the budget of 2147483648 bytes$"):
         angle_grid(1e-6, 1e-1, 300_000_000)
 

@@ -546,15 +546,15 @@ class _Solved(Exception):
 
 @pytest.mark.parametrize(
     "figure, n, message",
-    [("fig1", 1118481, None),
-     ("fig1", 1118482, r"1118482 modes of 6 roots take 2147485440 bytes, "
+    [("fig1", 2236962, None),
+     ("fig1", 2236963, r"2236963 modes of 6 roots take 2147484480 bytes, "
                        r"over the budget of 2147483648 bytes"),
-     ("fig3", 1677721, None),
-     ("fig3", 1677722, r"1677722 modes of 4 roots take 2147484160 bytes, "
+     ("fig3", 3355443, None),
+     ("fig3", 3355444, r"3355444 modes of 4 roots take 2147484160 bytes, "
                        r"over the budget of 2147483648 bytes")],
 )
 def test_spectrum_periodic_budget(request, monkeypatch, figure, n, message):
-    # about 320 bytes per root, CSV included; refused before the mode polynomial
+    # about 160 bytes per root, CSV included; refused before the mode polynomial
     spec = request.getfixturevalue(figure)
 
     def solved(*args):
