@@ -39,7 +39,7 @@ from .rootcurves import (
     track_branches,
 )
 from .simulation import DEFAULT_DT, default_horizon, scan_N, simulate, transient
-from .spectral import CLASSIFY_TOL, classify, spectrum_periodic
+from .spectral import classify, spectrum_periodic
 
 
 def _simulation(spec, n, bc, t_max, dt):
@@ -70,7 +70,7 @@ def cmd_check(args):
 
 def cmd_spectrum(args):
     spectrum = spectrum_periodic(args.spec, args.n)
-    verdict = classify(spectrum, tol=args.tol)
+    verdict = classify(spectrum)
     files = {"spectrum.csv": lambda path: reports.write_spectrum_csv(path, spectrum),
              "verdict.json": verdict}
     return files, (f"{verdict.status.value}: max Re = {verdict.max_real_part:.6g}, "
@@ -155,9 +155,14 @@ def cmd_reproduce(args):
     return {f"{run.figure}/{name}": content for name, content in files.items()}, summary, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 through main, not 2
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flockstab",
         description="stability analysis of periodic heterogeneous vehicle formations",
     )
@@ -182,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("spectrum", ("spectrum.csv", "verdict.json"),
                 "per-mode spectrum and stability verdict")
     p.add_argument("--n", type=int, required=True, help="cells per agent type")
-    p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
 
     p = command("simulate", ("trajectory.csv", "transient.json", "trajectory.svg"),
                 "line simulation from the leader kick")
@@ -215,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if "spec" in args:
             args.spec = load_spec(args.spec)
         names = args.outputs(args) if callable(args.outputs) else args.outputs

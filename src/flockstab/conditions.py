@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import InvalidTolerance
 from .model import Arrangement, FlockSpec
-from .spectral import _vanishes, check_tolerance, mode_polynomial
+from .spectral import _vanishes, mode_polynomial
 
 CONDITION_TOL = 1e-9
 
@@ -86,7 +87,8 @@ def necessary_condition_value(spec: FlockSpec) -> float:
 
 def conditions(spec: FlockSpec, tol: float = CONDITION_TOL) -> ConditionReport:
     """Evaluate clause i, the arrangement's middle clauses and clause iii."""
-    check_tolerance(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidTolerance(f"tolerance must be finite and non-negative, got {tol}")
     q = mode_polynomial(spec)
     at_zero, at_zero_size = q.jet(0).real, q.jet_size(0)
     slope = float(q.jet(1)[0].imag)  # a_0'(0) is i times this

@@ -33,7 +33,8 @@ class InvalidTolerance(FlockstabError):
 
 
 class DegenerateLeadingCoefficient(FlockstabError):
-    """Polynomial leading coefficient too small for root extraction."""
+    """A coefficient row no companion matrix takes: a_d = 0, or a coefficient
+    that is not finite."""
 
 
 class BlowUp(FlockstabError):

@@ -37,8 +37,10 @@ DEFAULT_DT = 0.01
 #: a run is refused over this many RK4 steps (2500 times figure 1a's 40 000)
 _MAX_STEPS = 10**8
 
-#: dense dim x dim arrays a run holds at once, rounded up (2.40, 27.6 MB, at dim 1200
-#: under tracemalloc: Q and the column buffers): 2 GiB allows dim 9459, 4700 vehicles
+#: dense dim x dim arrays a run holds at once, rounded up: 2 GiB allows dim 9459, 4700
+#: vehicles.  Unstored runs peak at 2.38-2.39 at dim 1200 and 2.14 at 3600 under
+#: tracemalloc, which does not see BLAS workspace; the (33, 32, width) column buffer
+#: (1056 dim values) makes small dims read higher (3.8 at dim 600).
 _DENSE_ARRAYS = 3
 
 

@@ -31,7 +31,8 @@ Q(nu, 0), and a_0 and a_1 are summed over z^s - 1, which makes that double
 zero exact.  The Jordan chain from the all-ones vector accounts for those
 two roots and every further kernel vector of Lx(0) adds at least one
 more, so a mode-0 zero root of multiplicity exactly two certifies a
-one-dimensional eigenspace.
+one-dimensional eigenspace.  Mode 0's further a_k(0) that ``check``'s rule
+reads as zero are set to exact 0 too, so a root is zero only when it is 0.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateLeadingCoefficient, InvalidTolerance, SizeError
+from .errors import DegenerateLeadingCoefficient, SizeError
 from .model import FlockSpec, _stencil, check_budget
 
 CLASSIFY_TOL = 1e-9
-
-_ZERO_EIGENVALUE_SCALE = 1e-8
 
 #: ulps of its size within which a jet value is roundoff, and within which
 #: a polished root's last step must stay
@@ -70,23 +69,16 @@ class Spectrum:
     """Roots of many modes: row m holds every root of the mode at phis[m].
 
     ``eigenvalues`` and ``residuals`` are (n, d), each row sorted by
-    descending real part, then descending imaginary part; ``coeff_scale``
-    is each row's largest coefficient magnitude.
+    descending real part, then descending imaginary part.
     """
 
     phis: np.ndarray
     eigenvalues: np.ndarray
     residuals: np.ndarray
-    coeff_scale: np.ndarray
 
     def __post_init__(self):
-        for array in (self.phis, self.eigenvalues, self.residuals, self.coeff_scale):
+        for array in (self.phis, self.eigenvalues, self.residuals):
             array.setflags(write=False)
-
-    def zero_threshold(self) -> np.ndarray:
-        """Per row, the modulus below which a root counts as zero."""
-        d = self.eigenvalues.shape[1]
-        return _ZERO_EIGENVALUE_SCALE * (1.0 + self.coeff_scale ** (1.0 / d))
 
 
 class Stability(Enum):
@@ -110,12 +102,6 @@ class StabilityVerdict:
     zero_multiplicity: int
     max_real_part: float
     witness: Witness
-
-
-def check_tolerance(tol: float) -> None:
-    """Refuse a tolerance that would turn a verdict into a wrong answer."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidTolerance(f"tolerance must be finite and non-negative, got {tol}")
 
 
 def _vanishes(value: float, size: float, tol: float) -> bool:
@@ -220,19 +206,19 @@ def mode_roots(phis, coeffs) -> Spectrum:
     Each row gets what ``numpy.roots`` does, bit for bit, batched: k exact
     zero low coefficients give k exact zero roots, the rest are the
     eigenvalues of the degree-(d - k) companion matrix, backward-stable
-    roots (Edelman & Murakami).  A scalar angle with one coefficient
-    vector gives a one-row spectrum.  :class:`DegenerateLeadingCoefficient`
-    can fire only for coefficients passed in by hand: every mode polynomial
-    has a_d = (-1)^t exactly.
+    roots (Edelman & Murakami) however small a_d is.  A scalar angle with
+    one coefficient vector gives a one-row spectrum.  A row with a_d = 0 or
+    a non-finite coefficient raises :class:`DegenerateLeadingCoefficient`.
+    Every mode polynomial has a_d = (-1)^t exactly, so a spec reaches it
+    only through a coefficient that overflows (gains near 1e100 or more).
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-    scale = np.abs(coeffs).max(axis=1)
-    bad = np.abs(coeffs[:, -1]) <= 1e-12 * np.maximum(scale, 1.0)
+    bad = (coeffs[:, -1] == 0) | ~np.isfinite(coeffs).all(axis=1)
     if bad.any():
         m = int(np.argmax(bad))
         raise DegenerateLeadingCoefficient(
-            f"leading coefficient {coeffs[m, -1]} too small at phi={phis[m]}")
+            f"no companion matrix at phi={phis[m]}: a_d = {coeffs[m, -1]} or a non-finite a_k")
     d = coeffs.shape[1] - 1
     roots = np.zeros((len(coeffs), d), dtype=complex)
     low_zeros = np.argmax(coeffs != 0, axis=1)
@@ -253,7 +239,7 @@ def _sorted_spectrum(phis, coeffs, roots) -> Spectrum:
     value = coeffs[:, -1:] + roots * 0  # Horner's rule, in numpy polyval's order
     for i in range(2, coeffs.shape[1] + 1):
         value = coeffs[:, -i, None] + value * roots
-    return Spectrum(phis, roots, np.abs(value), np.abs(coeffs).max(axis=1))
+    return Spectrum(phis, roots, np.abs(value))
 
 
 def _warm_mode_roots(phis, coeffs) -> Spectrum:
@@ -306,10 +292,10 @@ def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
     :func:`_warm_mode_roots`, whose polished rows agree with
     ``numpy.roots`` to roundoff, not to the bit.  Each row n - m above
     them holds the conjugates of row m, re-sorted by the same rule, with
-    row m's residuals and coefficient scale, so modes m and n - m are
-    exact conjugates.  An exact zero root keeps a +0.0 imaginary part in
-    both rows.  An n over the 2 GiB budget (about 2.2e6 for three types)
-    raises ``ValueError`` before anything is allocated.
+    row m's residuals, so modes m and n - m are exact conjugates.  An exact
+    zero root keeps a +0.0 imaginary part in both rows.  An n over the 2 GiB
+    budget (about 2.2e6 for three types) raises ``ValueError`` before
+    anything is allocated.
     """
     if n < 3:
         raise SizeError(f"need n >= 3 cells per type, got {n}")
@@ -317,43 +303,43 @@ def spectrum_periodic(spec: FlockSpec, n: int) -> Spectrum:
     check_budget(f"{n} modes of {d} roots", n * d * _BYTES_PER_ROOT)
     phis = 2.0 * np.pi * np.arange(n) / n
     h = n // 2 + 1
-    coeffs = mode_polynomial(spec).coeffs(phis[:h])
+    q = mode_polynomial(spec)
+    coeffs = q.coeffs(phis[:h])
+    # mode 0's a_k(0), consecutive from k = 2, that vanish by check's rule: exact zeros
+    vanish = [_vanishes(abs(a), size, 0.0) for a, size in zip(q.jet(0), q.jet_size(0))]
+    coeffs[0, 2:vanish.index(False, 2)] = 0  # a_d = (-1)^t never vanishes
     half = (mode_roots if h < _WARM_ROWS else _warm_mode_roots)(phis[:h], coeffs)
     eigenvalues = np.empty((n, half.eigenvalues.shape[1]), dtype=complex)
     residuals = np.empty(eigenvalues.shape)
-    coeff_scale = np.empty(n)
-    eigenvalues[:h], residuals[:h], coeff_scale[:h] = (
-        half.eigenvalues, half.residuals, half.coeff_scale)
+    eigenvalues[:h], residuals[:h] = half.eigenvalues, half.residuals
     lower, upper = slice(1, n - h + 1), slice(n - 1, h - 1, -1)  # rows m and n - m
     conj = np.conj(eigenvalues[lower])
     conj.imag += 0.0  # conj(0j) has imaginary part -0.0
     order = np.lexsort((-conj.imag, -conj.real), axis=-1)
     eigenvalues[upper] = np.take_along_axis(conj, order, axis=-1)
     residuals[upper] = np.take_along_axis(residuals[lower], order, axis=-1)
-    coeff_scale[upper] = coeff_scale[lower]
-    return Spectrum(phis, eigenvalues, residuals, coeff_scale)
+    return Spectrum(phis, eigenvalues, residuals)
 
 
-def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
+def classify(spectrum: Spectrum) -> StabilityVerdict:
     """Classify the spectrum of all n modes of a circle, in mode order.
 
+    A root is zero when it is exactly 0 (see the module docstring).
     Stable demands exactly two zero roots over all modes, both at
-    phi = 0, and every other eigenvalue strictly left of -tol; by the
-    module-level argument that double zero has a one-dimensional
+    phi = 0, and every other eigenvalue strictly left of -CLASSIFY_TOL;
+    by the module-level argument that double zero has a one-dimensional
     eigenspace, so the rule is exact at every n.  Any eigenvalue right of
-    +tol is Unstable; everything in between (extra eigenvalues stuck on
-    the imaginary axis) is MarginallyUnstable.
+    +CLASSIFY_TOL is Unstable; everything in between (extra eigenvalues
+    stuck on the imaginary axis) is MarginallyUnstable.
 
     Modes m and n - m are complex conjugates (to the bit in a spectrum
     from :func:`spectrum_periodic`), so the largest real part and its
     witness are taken over modes m <= n/2 only: of a conjugate pair, the
     witness is always the lower mode.  It is the first such root in mode
-    order, then in root order.  A negative or non-finite tol
-    raises :class:`InvalidTolerance`.
+    order, then in root order.
     """
-    check_tolerance(tol)
     eigenvalues = spectrum.eigenvalues
-    zero = np.abs(eigenvalues) < spectrum.zero_threshold()[:, None]
+    zero = eigenvalues == 0
     zero_total = int(zero.sum())
     real = np.where(zero, -np.inf, eigenvalues.real)[: len(eigenvalues) // 2 + 1]
     m, j = np.unravel_index(np.argmax(real), real.shape)
@@ -362,9 +348,9 @@ def classify(spectrum: Spectrum, tol: float = CLASSIFY_TOL) -> StabilityVerdict:
     if max_re > -np.inf:
         phi, root = float(spectrum.phis[m]), complex(eigenvalues[m, j])
 
-    if max_re > tol:
+    if max_re > CLASSIFY_TOL:
         status = Stability.UNSTABLE
-    elif zero[0].sum() == 2 and zero_total == 2 and max_re < -tol:
+    elif zero[0].sum() == 2 and zero_total == 2 and max_re < -CLASSIFY_TOL:
         status = Stability.STABLE
     else:
         status = Stability.MARGINALLY_UNSTABLE

@@ -100,7 +100,7 @@ def test_unreadable_spec_creates_no_directory(tmp_path, capsys, command, content
     "argv",
     [["spectrum", "--n", "4", "--tol=-1"], ["rootcurves", "--phi-min", "nan"],
      ["scan", "--N-list", "abc"]],
-    ids=["spectrum-tol", "rootcurves-phi-min", "scan-N-list"],
+    ids=["spectrum-unknown-tol", "rootcurves-phi-min", "scan-N-list"],
 )
 def test_failed_command_creates_no_directory(tmp_path, fig2_path, capsys, argv):
     out = tmp_path / "out"
@@ -173,18 +173,48 @@ def test_malformed_spec_is_an_input_error(tmp_path, capsys, agents_patch):
         ["check", "--tol=-1e-3"],
         ["check", "--tol=nan"],
         ["check", "--tol=inf"],
-        ["spectrum", "--n", "12", "--tol=-1e-3"],
-        ["spectrum", "--n", "12", "--tol=nan"],
-        ["spectrum", "--n", "12", "--tol=inf"],
     ],
-    ids=["check-negative", "check-nan", "check-inf",
-         "spectrum-negative", "spectrum-nan", "spectrum-inf"],
+    ids=["check-negative", "check-nan", "check-inf"],
 )
 def test_bad_tolerance_is_an_input_error(tmp_path, fig1_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--spec", str(fig1_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--spec", "{fig1}", "--tol", "abc"],
+        ["spectrum", "--spec", "{fig2}", "--n", "x", "--out", "{out}"],
+        ["spectrum", "--spec", "{fig2}", "--n", "12", "--tol", "1e-9", "--out", "{out}"],
+        ["check", "--spec", "{fig1}", "--bogus"],
+        ["simulate", "--n", "3", "--out", "{out}"],
+        ["scan", "--spec", "{fig2}", "--N-list", "12", "--dt", "fast", "--out", "{out}"],
+        ["rootcurves", "--spec", "{fig2}", "--phi-points", "many", "--out", "{out}"],
+        ["reproduce", "fig9z", "--out", "{out}"],
+        [],
+    ],
+    ids=["check-tol-not-a-float", "spectrum-n-not-an-int", "spectrum-unknown-tol",
+         "unknown-flag", "missing-spec", "scan-dt-not-a-float", "rootcurves-points-not-an-int",
+         "unknown-figure", "no-command"],
+)
+def test_usage_error_exits_1(tmp_path, fig1_path, fig2_path, capsys, argv):
+    # exit 2 is check's "instability certified", so a usage error must not take it
+    out = tmp_path / "out"
+    paths = {"fig1": fig1_path, "fig2": fig2_path, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["spectrum", "--help"])
+    assert exit_.value.code == 0
+    assert "--n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [["simulate", "--n", "3"], ["scan", "--N-list", "9"]],

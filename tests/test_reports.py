@@ -65,7 +65,7 @@ def _hand_spectrum(eigenvalues, residuals):
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
     n = len(eigenvalues)
     return Spectrum(2.0 * np.pi * np.arange(n) / n, eigenvalues,
-                    np.asarray(residuals, dtype=float), np.ones(n))
+                    np.asarray(residuals, dtype=float))
 
 
 @pytest.mark.parametrize(

@@ -594,6 +594,23 @@ def test_simulate_budgets_dense_operators(fig1, monkeypatch, n, message):
         simulate(fig1, n, BC1, 1.0, 0.01)
 
 
+@pytest.mark.parametrize("figure", [figure1, figure3], ids=["three-types", "two-types"])
+def test_dense_array_budget_holds_from_both_sides(figure):
+    # a scan run's peak, in dense dim x dim arrays of 8 bytes: at most the
+    # budget's count, and more than 1.5 so that a count gone stale fails too
+    import tracemalloc
+
+    spec = figure()
+    for dim in (1200, 1320):
+        tracemalloc.start()
+        try:
+            simulation._run(spec, dim // (2 * spec.n_types), BC1, 0.01, 0.01, store=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1.5 < peak / (8 * dim * dim) <= simulation._DENSE_ARRAYS, (dim, peak)
+
+
 @pytest.mark.parametrize("n_total", [2118, 4728], ids=["stored-over", "dense-largest"])
 def test_scan_has_no_stored_state_budget(fig1, monkeypatch, n_total):
     # at the default horizon simulate stores 30 N + 1 rows of 2 N values: over
