@@ -34,7 +34,7 @@ class InvalidTolerance(FlockstabError):
 
 class DegenerateLeadingCoefficient(FlockstabError):
     """A coefficient row no companion matrix takes: a_d = 0, or a coefficient
-    that is not finite."""
+    that is not finite; or a mode polynomial whose coefficients overflow."""
 
 
 class BlowUp(FlockstabError):

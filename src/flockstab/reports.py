@@ -5,10 +5,14 @@ one writer :func:`write_csv`, which prints each number as ``"%.17g" % x``
 does (17 significant digits, so it round-trips) but array-wise; JSON
 floats round-trip exactly, and row ordering is fixed by construction.
 
-Array-wise, each number gets a 32-byte cell, built as four little-endian
+Array-wise, each field gets one 32-byte cell and one row of the layout
+table, the mask of the bytes kept.  A number's cell is four little-endian
 64-bit words: the separator, sign, "0.000" and leading digit; digits 2..17
 with the decimal point shifted in (two words); "e" and the signed exponent.
-A per-layout mask of the 32 bytes keeps those ``%.17g`` prints.
+A string, and a number left to ``%``, is copied into its cell after the
+separator and kept by a prefix layout, the cell's first L bytes, so a
+string field holds at most 31 bytes.  One take, one boolean select and one
+write print a block.
 
 The writer keeps one block in flight: the calling thread formats the cells
 of block k + 1 while one worker thread expands block k's masks, keeps the
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 from enum import Enum
@@ -46,6 +49,7 @@ _POW_MIN, _POW_MAX = -265, 290
 _WORD0 = np.uint64(int.from_bytes(b",-0.0000", "little"))
 _ONES, _POINT = np.uint64(2 ** 64 - 1), np.uint64(ord("."))
 _SIGNED = 23 * 18  # the first layout row of negative values: 23 forms of 0..17 digits
+_PREFIX = 2 * _SIGNED  # layout row _PREFIX + L keeps a cell's first L bytes, L = 0..32
 
 
 def _layout(form, count, negative):
@@ -78,7 +82,7 @@ def _tables():
     of 0..9999 as 4-byte words; for exponents -330..330, the cell's last word
     ("e" and the signed exponent), the first layout row of its form and 8q;
     the trailing zeros of 0..9999; and the layouts, form by form, of
-    positive values and then of negative ones."""
+    positive values and then of negative ones, then the prefix layouts."""
     def dd(k):
         num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
         hi = num / den  # int true division rounds correctly
@@ -98,7 +102,8 @@ def _tables():
                      np.uint64) * 8,
             np.array([4 - len(text.rstrip("0")) for text in digits], np.int8),
             np.array([_layout(form, count, negative) for negative in (False, True)
-                      for form in range(23) for count in range(18)]))
+                      for form in range(23) for count in range(18)]
+                     + [np.arange(32) < length for length in range(33)]))
 
 
 def _scale(m, k):
@@ -171,70 +176,57 @@ def _cells(x):
     return cells.view(np.uint8), layout, slow
 
 
+def _print(cells, layouts, at, texts):
+    """Copy each byte string of ``texts`` into the cell at its index in
+    ``at``, after the separator, and keep it with the prefix layout row
+    that keeps the separator and the string."""
+    raw = np.ravel(np.asarray(texts, bytes))
+    cells[at, 1:1 + raw.itemsize] = raw.view(np.uint8).reshape(len(raw), raw.itemsize)
+    layouts[at] = _PREFIX + 1 + np.char.str_len(raw)
+
+
 def _row_cells(block):
-    """A block's rows as cells of separators and text; the mask of the bytes
-    kept, in parts: a mask of bytes for each text column and the layout row
-    of each value for each run of number columns; and, in order, where the
-    cell of each value left to ``%`` starts in the rows laid end to end, and
-    that value.  Strings are copied as they are; every number of the block
-    goes through one :func:`_cells` call."""
+    """A block's rows as one 32-byte cell per field, and the row of the
+    layout table that keeps each field's bytes.  Every number of the block
+    goes through one :func:`_cells` call, a string field as a 0; the values
+    it leaves to ``%``, printed with ``%``, and the strings are then copied
+    into their own cells."""
     rows = len(block[0])
-    numbers = [c.reshape(rows, -1) for c in block if c.dtype.kind != "U"] or [np.empty((rows, 0))]
+    fields = [c.reshape(rows, -1) for c in block]
+    text = [f.dtype.kind == "U" for f in fields]
+    numbers = [np.zeros(f.shape) if t else f for f, t in zip(fields, text)]
     values = numbers[0] if len(numbers) == 1 else np.concatenate(numbers, axis=1)
-    grid, layout, slow = _cells(values)
-    grid, layout = grid.reshape(rows, -1, 32), layout.reshape(rows, -1)  # row, value(, byte)
-    parts, starts, at, width = [], [], 0, 0
-    for text, run in itertools.groupby(block, key=lambda c: c.dtype.kind == "U"):
-        if text:
-            for column in run:
-                raw = column.astype(bytes)
-                cells = np.full((rows, raw.itemsize + 1), 44, np.uint8)
-                cells[:, 1:] = raw.view(np.uint8).reshape(rows, -1)
-                parts.append((cells, cells != 0))
-                width += cells.shape[1]
-        else:  # adjacent number columns stay one slice
-            count = sum(c[0].size for c in run)
-            parts.append((grid[:, at:at + count].reshape(rows, -1), layout[:, at:at + count]))
-            starts.append(width + 32 * np.arange(count))
-            at += count
-            width += 32 * count
-    cells = parts[0][0] if len(parts) == 1 else np.concatenate([c for c, _ in parts], axis=1)
-    masks = [mask for _, mask in parts]
-    if not slow.any():  # most blocks
-        return cells, masks, [], []
-    row, value = np.divmod(np.flatnonzero(slow), values.shape[1])
-    offsets = row * width + np.concatenate(starts)[value]
-    return cells, masks, offsets.tolist(), np.ravel(values)[slow].tolist()
+    cells, layouts, slow = _cells(values)
+    if slow.any():  # a few blocks
+        at = np.flatnonzero(slow)
+        _print(cells, layouts, at, [b"%.17g" % x for x in np.ravel(values)[at].tolist()])
+    if any(text):
+        column = np.repeat(text, [f.shape[1] for f in fields])
+        _print(cells, layouts, np.flatnonzero(np.tile(column, rows)),
+               np.concatenate([f for f, t in zip(fields, text) if t], axis=1).astype(bytes))
+    return cells.reshape(rows, -1), layouts.reshape(rows, -1)
 
 
-def _write_block(fh, cells, masks, offsets, slow):
-    """Write the rows :func:`_row_cells` made of a block: expand each number
-    run's layout rows into its mask of bytes, keep the masked bytes, and
-    print each value left to ``%`` into its cell.  Only numpy's take,
-    boolean select and the file write do the work, and they release the GIL,
-    so this runs on a worker thread while the next block is formatted."""
-    layouts = _tables()[9]
-    keep = [mask if mask.dtype == bool else layouts.take(mask, axis=0).reshape(len(cells), -1)
-            for mask in masks]
-    keep = keep[0] if len(keep) == 1 else np.concatenate(keep, axis=1)
+def _write_block(fh, cells, layouts):
+    """Write the rows :func:`_row_cells` made of a block: expand each
+    field's layout row into its mask of bytes, keep the masked bytes and
+    write them.  Only numpy's take, boolean select and the file write do
+    the work, and they release the GIL, so this runs on a worker thread
+    while the next block is formatted."""
+    keep = _tables()[9].take(layouts, axis=0).reshape(cells.shape)
     cells[:, 0] = 10  # each row ends the line before it
-    cells, keep = cells.ravel(), keep.ravel()
-    start = 0
-    for at, x in zip(offsets, slow):
-        fh.write(cells[start:at + 1][keep[start:at + 1]])  # to its separator
-        fh.write(b"%.17g" % x)
-        start = at + 32
-    fh.write(cells[start:][keep[start:]])
+    fh.write(cells[keep])
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """The header line, then one line per row of ``columns``.
 
     A column is a 1-D array, or a 2-D array of adjacent columns.  Strings
-    are copied as they are, and every other value is printed as a float,
-    byte for byte as ``"%.17g" % x``: array-wise, in blocks of about
-    ``_BLOCK`` values, except for the values :func:`_cells` leaves to ``%``,
-    which are printed one by one into the cells around them.
+    are copied as they are, at most 31 bytes each: a longer one raises
+    ``ValueError`` before the file is opened.  Every other value is printed
+    as a float, byte for byte as ``"%.17g" % x``: array-wise, in blocks of
+    about ``_BLOCK`` values, except for the values :func:`_cells` leaves to
+    ``%``, which are printed one by one into their own cells.
 
     One block is in flight: while the calling thread formats block k + 1,
     one worker thread masks and writes block k (:func:`_write_block`).
@@ -248,6 +240,10 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     from concurrent.futures import ThreadPoolExecutor
 
     columns = list(map(np.asarray, columns))
+    for c in columns:
+        longest = np.char.str_len(c).max(initial=0) if c.dtype.kind == "U" else 0
+        if longest > 31:
+            raise ValueError(f"a CSV string field holds at most 31 bytes, not {longest}")
     rows = len(columns[0])
     step = max(1, _BLOCK // sum(math.prod(c.shape[1:]) for c in columns))
     with open(path, "wb") as fh, ThreadPoolExecutor(1) as worker:

@@ -167,7 +167,10 @@ def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
     t! permutations.  Substituting nu = x^w and z = x, with w wider than
     the z range of any product, makes each product one convolution in x.
     The same convolutions on |m| give ``size``: offset j is fixed by
-    (a, b, s), so each entry of m is one stencil term.
+    (a, b, s), so each entry of m is one stencil term.  ``jet_size(0)`` and
+    ``jet_size(1)`` bound |c|, every a_k(phi) and every phi = 0 value
+    ``check`` reads; a spec whose gains overflow them raises
+    :class:`DegenerateLeadingCoefficient`, so no caller meets a nan.
     """
     t = spec.n_types
     k, kind, c, gw = _stencil(spec, 3)
@@ -181,13 +184,20 @@ def mode_polynomial(spec: FlockSpec) -> ModePolynomial:
     magnitude = np.abs(m)
     c = np.zeros((2 * t + 1) * w)
     size = np.zeros(len(c))
-    for perm in itertools.permutations(range(t)):
-        term = functools.reduce(np.convolve, [m[a, b].ravel() for a, b in enumerate(perm)])
-        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-        c += (-1) ** inversions * term[: len(c)]
-        size += functools.reduce(
-            np.convolve, [magnitude[a, b].ravel() for a, b in enumerate(perm)])[: len(c)]
-    return ModePolynomial(c.reshape(2 * t + 1, w), size.reshape(2 * t + 1, w))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        for perm in itertools.permutations(range(t)):
+            term = functools.reduce(np.convolve, [m[a, b].ravel() for a, b in enumerate(perm)])
+            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            c += (-1) ** inversions * term[: len(c)]
+            size += functools.reduce(
+                np.convolve, [magnitude[a, b].ravel() for a, b in enumerate(perm)])[: len(c)]
+        q = ModePolynomial(c.reshape(2 * t + 1, w), size.reshape(2 * t + 1, w))
+        finite = np.isfinite(q.jet_size(0)).all() and np.isfinite(q.jet_size(1)).all()
+    if not finite:
+        raise DegenerateLeadingCoefficient(
+            "the mode polynomial overflows: its coefficients at phi = 0 are not finite floats"
+            " (gains too large)")
+    return q
 
 
 def char_poly(spec: FlockSpec, phi) -> np.ndarray:
@@ -209,16 +219,18 @@ def mode_roots(phis, coeffs) -> Spectrum:
     roots (Edelman & Murakami) however small a_d is.  A scalar angle with
     one coefficient vector gives a one-row spectrum.  A row with a_d = 0 or
     a non-finite coefficient raises :class:`DegenerateLeadingCoefficient`.
-    Every mode polynomial has a_d = (-1)^t exactly, so a spec reaches it
-    only through a coefficient that overflows (gains near 1e100 or more).
+    Every mode polynomial has a_d = (-1)^t exactly, and
+    :func:`mode_polynomial` refuses one whose coefficients overflow, so a
+    spec's rows do not reach it.
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     bad = (coeffs[:, -1] == 0) | ~np.isfinite(coeffs).all(axis=1)
     if bad.any():
         m = int(np.argmax(bad))
-        raise DegenerateLeadingCoefficient(
-            f"no companion matrix at phi={phis[m]}: a_d = {coeffs[m, -1]} or a non-finite a_k")
+        k = int(np.argmin(np.isfinite(coeffs[m])))
+        fault = "a_d = 0" if np.isfinite(coeffs[m]).all() else f"a_{k} = {coeffs[m, k]}"
+        raise DegenerateLeadingCoefficient(f"no companion matrix at phi={phis[m]}: {fault}")
     d = coeffs.shape[1] - 1
     roots = np.zeros((len(coeffs), d), dtype=complex)
     low_zeros = np.argmax(coeffs != 0, axis=1)

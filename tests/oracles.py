@@ -95,13 +95,15 @@ def a2_a3_at_zero(spec: FlockSpec) -> tuple[float, float]:
             sum(a.g_v * alpha[1] for a, alpha in zip(agents, ab.alpha_v)))
 
 
-def exact_jet(spec: FlockSpec, p: int) -> list[Fraction]:
+def exact_jet(spec: FlockSpec, p: int, size: bool = False) -> list[Fraction]:
     """jet(p) / i^p in exact rational arithmetic: sum_s s^p C[k, s] for every k.
 
     The spec's float weights are exact rationals, so this is the value
     the float ``ModePolynomial.jet`` rounds.  The mode matrix entry (a, b)
     is a polynomial {(nu power, z power): coefficient}; Q is its
-    determinant over the t! permutations.
+    determinant over the t! permutations.  With ``size``, the same sum of
+    |s|^p times the permutation products of |entries|: the value
+    ``ModePolynomial.jet_size`` rounds.
     """
     t = spec.n_types
     entries = [[{} for _ in range(t)] for _ in range(t)]
@@ -116,15 +118,16 @@ def exact_jet(spec: FlockSpec, p: int) -> list[Fraction]:
     jet = [Fraction(0)] * (2 * t + 1)
     for perm in itertools.permutations(range(t)):
         sign = (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2))
-        product = {(0, 0): Fraction(sign)}
+        product = {(0, 0): Fraction(1 if size else sign)}
         for a, b in enumerate(perm):
             step = {}
             for (k1, s1), u in product.items():
                 for (k2, s2), v in entries[a][b].items():
+                    v = abs(v) if size else v
                     step[(k1 + k2, s1 + s2)] = step.get((k1 + k2, s1 + s2), 0) + u * v
             product = step
         for (k, s), coefficient in product.items():
-            jet[k] += s ** p * coefficient
+            jet[k] += (abs(s) if size else s) ** p * coefficient
     return jet
 
 

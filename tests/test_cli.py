@@ -50,6 +50,19 @@ def test_check_refuses_a_boolean_gain(tmp_path, fig1_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_check_refuses_an_overflowing_mode_polynomial(tmp_path, fig1_path, capsys):
+    # gains g_x x 1e120 and g_v x 1e60 overflow the mode polynomial: an
+    # input error, not a certificate read off a nan
+    doc = json.loads(fig1_path.read_text())
+    for agent in doc["agents"]:
+        agent.update(g_x=agent["g_x"] * 1e120, g_v=agent["g_v"] * 1e60)
+    spec = tmp_path / "overflow.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["check", "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_check_refuses_a_string_weight(tmp_path, fig1_path, capsys):
     doc = json.loads(fig1_path.read_text())
     doc["agents"][0]["rho_x"]["1"] = "-0.6"

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flockstab import (
+    AgentParams,
     Arrangement,
+    DegenerateLeadingCoefficient,
     HypothesisViolated,
     InvalidTolerance,
     Overall,
@@ -24,6 +27,7 @@ from flockstab import (
     track_branches,
 )
 from conftest import alpha_roundoff_spec, random_spec, random_symmetric
+from flockstab.figures import figure1, figure2, figure3, figure3c
 from oracles import (D_func, E_func, a0_derivative_at_zero, a2_a3_at_zero, alphas_betas,
                      exact_jet)
 
@@ -219,6 +223,27 @@ def _on_manifold(spec, shift=0.0):
     f0 = necessary_condition_value(moved(0.0))
     f1 = necessary_condition_value(moved(1.0))
     return moved(-f0 / (f1 - f0) + shift)
+
+
+@pytest.mark.parametrize("figure", [figure1, figure2, figure3, figure3c])
+def test_conditions_refuse_an_overflowing_mode_polynomial_by_name(figure):
+    # every gain x 10^k: finite clause and case values (RuntimeWarning is an
+    # error), or the named refusal, exactly when the exact jet sizes of
+    # p = 0 and 1, which bound every value check reads, pass the largest float
+    refused = []
+    for k in range(0, 301, 2):
+        spec = build_spec(figure().arrangement, [
+            AgentParams(a.g_x * 10.0 ** k, a.g_v * 10.0 ** k, dict(a.rho_x), dict(a.rho_v))
+            for a in figure().agents])
+        if max(max(exact_jet(spec, p, size=True)) for p in (0, 1)) > Fraction(sys.float_info.max):
+            with pytest.raises(DegenerateLeadingCoefficient, match="mode polynomial overflows"):
+                conditions(spec)
+            refused.append(k)
+        else:
+            report = conditions(spec)
+            values = [c.value for c in report.clauses] + list(report.case_values.values())
+            assert all(math.isfinite(v) for v in values), (k, values)
+    assert refused == list(range(refused[0], 301, 2)), refused
 
 
 @pytest.mark.parametrize("arrangement", list(Arrangement))

@@ -215,22 +215,36 @@ def test_write_csv_block_edges(tmp_path):
 
 @pytest.mark.parametrize("block", [16, reports._BLOCK])
 def test_write_csv_prints_each_slow_value_alone(monkeypatch, tmp_path, block):
-    # 5 values a row, so 3 rows a block at _BLOCK = 16: slow values at the
-    # start, middle and end of rows, side by side, after the text column,
-    # filling a row, and on both sides of the edge between rows 2 and 3
+    # 7 fields a row, so 2 rows a block at _BLOCK = 16: every kind of value
+    # left to % at the start, middle and end of rows, side by side, filling
+    # a row and on both sides of block edges, between string fields of 0, 1
+    # and 31 bytes, one of them the first field of each row
     monkeypatch.setattr(reports, "_BLOCK", block)
     rng = np.random.default_rng(35)
     values = rng.normal(size=(40, 5))
-    special = [np.nan, np.inf, -np.inf, 1e300, -1e-300, 5e-324, 2 ** 50 + 0.25]
+    tie = 2 ** 50 + 0.25  # 1125899906842624.25: a tie in the 17th digit
+    special = [np.nan, np.inf, -np.inf, 1e300, -1e300, -1e-300, 5e-324, -2.2250738585072014e-308,
+               tie]
+    assert max(len("%.17g" % x) for x in special) == 24
     spots = [(0, 0), (1, 2), (2, 4), (3, 0), (5, 1), (5, 2), (5, 3), (8, 1), (8, 4), (39, 4)]
-    spots += [(12, k) for k in range(5)]
+    spots += [(12, k) for k in range(5)] + [(13, 0), (14, 4), (15, 1)]
     for i, (row, column) in enumerate(spots):
         values[row, column] = special[i % len(special)]
     assert reports._cells(values)[2].sum() == len(spots)
-    names = np.array(["a", "", "bc"])[rng.integers(0, 3, 40)]
-    write_csv(tmp_path / "slow.csv", ["t", "name", "x"], [values[:, 0], names, values[:, 1:]])
+    first, middle = np.array(["", "a", "b" * 31])[rng.integers(0, 3, (2, 40))]
+    header = ["name", "t", "tag", "x"]
+    write_csv(tmp_path / "slow.csv", header, [first, values[:, 0], middle, values[:, 1:]])
     assert (tmp_path / "slow.csv").read_bytes() == _percent_csv(
-        ["t", "name", "x"], [[r[0], n, *r[1:]] for r, n in zip(values.tolist(), names)])
+        header, [[a, r[0], b, *r[1:]] for r, a, b in zip(values.tolist(), first, middle)])
+
+
+def test_write_csv_refuses_a_string_over_31_bytes_before_it_opens_the_file(tmp_path):
+    # the long string is in the last of several blocks
+    names = np.array(["a"] * 3 * reports._BLOCK + ["b" * 32])
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="at most 31 bytes, not 32"):
+        write_csv(path, ["name", "x"], [names, np.zeros(len(names))])
+    assert not path.exists()
 
 
 def test_write_csv_keeps_the_block_order_when_threads_switch_often(monkeypatch, tmp_path):

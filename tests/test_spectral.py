@@ -256,6 +256,15 @@ def test_mode_roots_refuses_a_non_finite_coefficient(bad):
         mode_roots(0.5, np.array([bad, 2.0, 1.0]))
 
 
+@pytest.mark.parametrize("coeffs, fault", [
+    ([1.0, 2.0, 0.0], "a_d = 0"), ([1.0, np.nan, 1.0], "a_1 = (nan+0j)"),
+    ([1.0, 2.0, -np.inf], "a_2 = (-inf+0j)")], ids=["zero-leading", "nan", "inf-leading"])
+def test_mode_roots_names_the_fault(coeffs, fault):
+    with pytest.raises(DegenerateLeadingCoefficient) as refusal:
+        mode_roots(0.5, np.array(coeffs))
+    assert str(refusal.value) == f"no companion matrix at phi=0.5: {fault}"
+
+
 def test_mode_roots_takes_a_leading_coefficient_small_next_to_the_rest():
     # nu^2 + 1e24: roots +-1e12 i, however small a_2 = 1 is next to a_0
     roots = mode_roots(0.0, np.array([1e24, 0.0, 1.0])).eigenvalues[0]
